@@ -48,8 +48,7 @@ for k in (1, 2, 3):
         try:
             params = acd.lambda_search(tower13, k, ell)
         except acd.SearchFailedError as exc:
-            print(f"{k:>2} {ell:>3}  no certifiable set exists"
-                  f" ({exc.candidates_scanned} candidates scanned)")
+            print(f"{k:>2} {ell:>3}  none: {exc}")
             continue
         hull = acd.acd_oracle(params)
         d = (

@@ -6,7 +6,7 @@ complementary-dual and distance properties both by closed-form criteria
 and by independent brute-force oracles.
 """
 
-from .fields import BASE_PRIME, MID, TOP, Elem, FieldTower
+from .fields import MID, TOP, Elem, FieldTower
 from .linalg import Mat, Subspace, det, intersect, rank_kernel, schur_residual
 from .skew import (
     QuotientCtx,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import linalg
@@ -52,6 +53,10 @@ class AcdParams:
     subgroup structure required).  ``skew_unit`` is the fixed alpha with
     alpha^q = -alpha completing the basis {1, alpha} of F_{q^2} over F_q;
     ``twist_scalar`` is the gamma multiplying the degree-k coefficient.
+
+    The generator matrix, the power sums p_0..p_2k and the trace matrix T
+    are computed once per parameter set, on first use, and shared by every
+    certificate drawn from it.
     """
 
     tower: FieldTower
@@ -108,66 +113,54 @@ class AcdParams:
     def ell(self) -> int:
         return len(self.lambda_set)
 
+    @cached_property
+    def _generator(self) -> Mat:
+        return generator_matrix(self)
+
+    @cached_property
+    def _power_sums(self) -> tuple:
+        return power_sums(self.tower, self.lambda_set, 2 * self.k)
+
+    @cached_property
+    def _t(self) -> Mat:
+        return t_matrix(self)
+
 
 # ---------------------------------------------------------------------------
 # Power sums and their Hankel blocks
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """p_e = sum over the evaluation set of lambda^e, with p_0 = ell mod p."""
-
-    values: tuple
-
-    @classmethod
-    def compute(cls, tower: FieldTower, lambda_set, upto: int) -> "PowerSums":
-        out = [tower.mid(len(lambda_set))]
-        powers = list(lambda_set)
-        for _ in range(upto):
-            acc = tower.mid_zero()
-            for lam in powers:
-                acc = acc + lam
-            out.append(acc)
-            powers = [pw * lam for pw, lam in zip(powers, lambda_set)]
-        return cls(tuple(out))
-
-    def __getitem__(self, e: int) -> Elem:
-        return self.values[e]
+def power_sums(tower: FieldTower, lambda_set, upto: int) -> tuple:
+    """(p_0, .., p_upto) with p_e = sum over the evaluation set of lambda^e,
+    so p_0 = ell mod p."""
+    out = [tower.mid(len(lambda_set))]
+    powers = list(lambda_set)
+    for _ in range(upto):
+        acc = tower.mid_zero()
+        for lam in powers:
+            acc = acc + lam
+        out.append(acc)
+        powers = [pw * lam for pw, lam in zip(powers, lambda_set)]
+    return tuple(out)
 
 
-def power_sums(tower: FieldTower, lambda_set, upto: int) -> PowerSums:
-    return PowerSums.compute(tower, lambda_set, upto)
-
-
-def geometric_power_sum(tower: FieldTower, g: Elem, ell: int, e: int) -> Elem:
-    """Closed form for a geometric evaluation set {1, g, .., g^(ell-1)}:
-    (g^(e*ell) - 1) / (g^e - 1) when g^e != 1, else ell mod p."""
-    if e == 0:
-        return tower.mid(ell)
-    ge = g**e
-    one = tower.mid_one()
-    if ge == one:
-        return tower.mid(ell)
-    return (ge**ell - one) / (ge - one)
-
-
-def g0_matrix(tower: FieldTower, ps: PowerSums, k: int) -> Mat:
+def g0_matrix(tower: FieldTower, ps: tuple, k: int) -> Mat:
     rows = [[ps[i + j] for j in range(k)] for i in range(k)]
     return Mat.from_rows(rows, tower=tower, level=MID, cols=k)
 
 
-def m_matrix(tower: FieldTower, ps: PowerSums, k: int) -> Mat:
+def m_matrix(tower: FieldTower, ps: tuple, k: int) -> Mat:
     rows = [[ps[i + j] for j in range(1, k)] for i in range(1, k)]
     return Mat.from_rows(rows, tower=tower, level=MID, cols=k - 1)
 
 
-def h_matrix(tower: FieldTower, ps: PowerSums, k: int) -> Mat:
+def h_matrix(tower: FieldTower, ps: tuple, k: int) -> Mat:
     rows = [[ps[i + j] for j in range(1, k + 1)] for i in range(1, k + 1)]
     return Mat.from_rows(rows, tower=tower, level=MID, cols=k)
 
 
-def w_vector(ps: PowerSums, k: int) -> list:
+def w_vector(ps: tuple, k: int) -> list:
     return [ps[k + i] for i in range(1, k)]
 
 
@@ -229,9 +222,8 @@ def encode(params: AcdParams, message) -> list:
         raise LengthMismatchError(
             f"message length {len(message)} != 2k = {2 * params.k}"
         )
-    gen = generator_matrix(params)
     out = [tower.top_zero()] * params.ell
-    for coef, row in zip(message, gen.entries):
+    for coef, row in zip(message, params._generator.entries):
         if coef:
             out = [acc + tower.scale(coef, g) for acc, g in zip(out, row)]
     return out
@@ -254,7 +246,7 @@ def trace_hermitian(u, v) -> Elem:
 def gg_dagger(params: AcdParams) -> Mat:
     """G G-dagger over F_{q^2}: entry (r, s) is sum_j G[r,j] * G[s,j]^q."""
     tower = params.tower
-    gen = generator_matrix(params)
+    gen = params._generator
     n = gen.rows
     conj_rows = [[tower.frobenius(x, 1) for x in row] for row in gen.entries]
     rows = []
@@ -291,7 +283,7 @@ def closed_form_tables(params: AcdParams):
     tr_gamma = tower.trace(gamma)
     tr_alpha_gamma = tower.trace(alpha * gamma)
     labels = _basis_labels(params.k)
-    ps = power_sums(tower, params.lambda_set, 2 * params.k)
+    ps = params._power_sums
     two = tower.mid(2)
 
     def top_entry(a, b):
@@ -360,24 +352,18 @@ def closed_form_tables(params: AcdParams):
 def delta_value(params: AcdParams) -> Elem:
     """Delta = 2 gamma^(q+1) p_2k + Tr(alpha gamma)^2 / (2 alpha^2) * w M^-1 w.
 
-    Defined whenever the Hankel block M is invertible (vacuously for k = 1,
-    where the w-term is empty)."""
+    H = [[M, w], [w^T, p_2k]], so w M^-1 w = p_2k minus the Schur residual
+    of H.  Defined whenever the Hankel block M is invertible (vacuously for
+    k = 1, where the w-term is empty)."""
     tower = params.tower
     k = params.k
-    ps = power_sums(tower, params.lambda_set, 2 * k)
+    ps = params._power_sums
     two = tower.mid(2)
     term1 = two * tower.norm(params.twist_scalar) * ps[2 * k]
-    if k == 1:
-        return term1
-    m_blk = m_matrix(tower, ps, k)
-    w = w_vector(ps, k)
     try:
-        x = linalg.solve(m_blk, w)
+        w_m_w = ps[2 * k] - linalg.schur_residual(h_matrix(tower, ps, k))
     except SingularLeadingBlockError as exc:
         raise SingularMError("Hankel block M is singular") from exc
-    w_m_w = tower.mid_zero()
-    for wi, xi in zip(w, x):
-        w_m_w = w_m_w + wi * xi
     tr_ag = tower.trace(params.skew_unit * params.twist_scalar)
     alpha_sq = tower.as_mid(params.skew_unit * params.skew_unit)
     term2 = (tr_ag * tr_ag) / (two * alpha_sq) * w_m_w
@@ -410,13 +396,12 @@ def acd_check(params: AcdParams) -> AcdVerdicts:
     Tr(gamma) = 0 and M is invertible.  The two agree whenever the second
     is defined."""
     tower = params.tower
-    det_t = linalg.det(t_matrix(params))
+    det_t = linalg.det(params._t)
     matrix_ok = bool(det_t)
     tr_gamma = tower.trace(params.twist_scalar)
     if tr_gamma:
         return AcdVerdicts(matrix_ok, None, "trace_nonzero", det_t)
-    ps = power_sums(tower, params.lambda_set, 2 * params.k)
-    det_g0 = linalg.det(g0_matrix(tower, ps, params.k))
+    det_g0 = linalg.det(g0_matrix(tower, params._power_sums, params.k))
     try:
         delta = delta_value(params)
     except SingularMError:
@@ -447,9 +432,8 @@ def expanded_generator(params: AcdParams) -> Mat:
     """The 2k x 2ell F_q matrix of the code in {1, alpha} coordinates,
     interleaved per position."""
     tower = params.tower
-    gen = generator_matrix(params)
     rows = []
-    for row in gen.entries:
+    for row in params._generator.entries:
         flat = []
         for c in row:
             x, y = _alpha_decompose(params, c)
@@ -466,10 +450,9 @@ def acd_oracle(params: AcdParams, max_hull: int = DEFAULT_MAX_HULL) -> int:
     ell = params.ell
     if 2 * ell > max_hull:
         raise TooLargeError(f"ambient dimension {2 * ell} exceeds guard {max_hull}")
-    gen = generator_matrix(params)
     alpha = params.skew_unit
     pairing_rows = []
-    for row in gen.entries:
+    for row in params._generator.entries:
         flat = []
         for c in row:
             flat.append(tower.trace(c))
@@ -506,8 +489,7 @@ def min_distance_oracle(
         raise TooLargeError(
             f"enumerating {size} codewords exceeds the guard {max_enumeration}"
         )
-    gen = generator_matrix(params)
-    rows = list(gen.entries)
+    rows = list(params._generator.entries)
     zero = tower.top_zero()
     best = None
     mids = list(tower.mid_elements())
@@ -616,13 +598,21 @@ def lambda_search(
     No such set exists when k + ell >= q: every power sum p_e over all of
     F_q* vanishes for 1 <= e <= 2k, so T(lambda) = -2 E_11 - T(F_q* minus
     lambda) has rank at most 1 + 2(q - 1 - ell) < 2k.  The search then
-    raises SearchFailedError after scanning every candidate."""
+    raises SearchFailedError at once, whatever the strategy, with no
+    candidate scanned."""
     if strategy not in ("auto", "geometric", "exhaustive"):
         raise BadParamsError(f"unknown strategy {strategy!r}")
     q = tower.q
     if k < 1 or not 2 * k <= ell <= q - 2:
         raise BadParamsError(
             f"need 1 <= k and 2k <= ell <= q-2; got k={k}, ell={ell}, q={q}"
+        )
+    if k + ell >= q:
+        raise SearchFailedError(
+            f"no evaluation set of length {ell} certifies for k={k} over q={q}:"
+            f" k + ell >= q, so rank T <= 1 + 2(q - 1 - ell)"
+            f" = {1 + 2 * (q - 1 - ell)} < 2k = {2 * k}",
+            0,
         )
     scanned = 0
 
@@ -673,7 +663,7 @@ def delta_identity_check(params: AcdParams) -> bool:
     tower = params.tower
     if params.twist_scalar != params.skew_unit:
         raise BadParamsError("identity check requires gamma = alpha")
-    ps = power_sums(tower, params.lambda_set, 2 * params.k)
+    ps = params._power_sums
     det_m = linalg.det(m_matrix(tower, ps, params.k))
     if not det_m:
         raise SingularMError("Hankel block M is singular")
@@ -748,7 +738,7 @@ def build_report(
 ) -> AcdReport:
     tower = params.tower
     verdicts = acd_check(params)
-    ps = power_sums(tower, params.lambda_set, 2 * params.k)
+    ps = params._power_sums
     hull = acd_oracle(params, max_hull=max_hull) if with_oracle else None
     dist = (
         min_distance_oracle(params, max_enumeration=max_enumeration)
@@ -757,8 +747,8 @@ def build_report(
     )
     return AcdReport(
         params=params,
-        generator=generator_matrix(params),
-        t_mat=t_matrix(params),
+        generator=params._generator,
+        t_mat=params._t,
         det_t=verdicts.det_t,
         g0_block=g0_matrix(tower, ps, params.k),
         m_block=m_matrix(tower, ps, params.k),

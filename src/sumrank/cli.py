@@ -80,7 +80,11 @@ def _guard(args, name: str, env: str, default: int) -> int:
     if value is not None:
         return value
     if env in os.environ:
-        return int(os.environ[env])
+        raw = os.environ[env]
+        try:
+            return int(raw)
+        except ValueError:
+            raise BadParamsError(f"{env} must be an integer, got {raw!r}") from None
     return default
 
 
@@ -179,10 +183,10 @@ def cmd_acd_build(args) -> int:
 
 
 def cmd_acd_search(args) -> int:
-    tower = _tower(args, r=2)
-    params = acd.lambda_search(tower, args.k, args.ell, strategy=args.strategy)
     max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, acd.DEFAULT_MAX_ENUMERATION)
     max_hull = _guard(args, "max_hull", ENV_MAX_HULL, acd.DEFAULT_MAX_HULL)
+    tower = _tower(args, r=2)
+    params = acd.lambda_search(tower, args.k, args.ell, strategy=args.strategy)
     try:
         report = acd.build_report(
             params,
@@ -212,6 +216,11 @@ def cmd_acd_sweep(args) -> int:
     emitter = Emitter(args.format)
     max_hull = _guard(args, "max_hull", ENV_MAX_HULL, acd.DEFAULT_MAX_HULL)
     max_ell = min(tower.q - 1, max_hull // 2, args.max_ell)
+    if max_ell < 2:
+        raise BadParamsError(
+            f"no code length fits: 2 <= ell <= min(q - 1 = {tower.q - 1},"
+            f" hull guard / 2 = {max_hull // 2}, --max-ell = {args.max_ell})"
+        )
     disagreements = 0
     for i in range(args.count):
         ell = rng.randint(2, max_ell)

@@ -24,7 +24,6 @@ from .errors import (
     ZeroInputError,
 )
 
-BASE_PRIME = "base_prime"
 MID = "mid"
 TOP = "top"
 
@@ -55,23 +54,36 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over a generic coefficient field.  The same
-# helpers serve F_p (ints) and F_q (coordinate tuples) through a small ops
-# record, and exist only to test modulus polynomials for irreducibility.
+# One arithmetic record per field: F_p (ints), F_q (coordinate tuples) and
+# L (tuples of F_q coordinates).  Element operators, exponentiation and the
+# dense univariate polynomials below (which pick the moduli and their
+# reduction tables) all go through it.
 # ---------------------------------------------------------------------------
 
 
 class _CoeffOps:
-    __slots__ = ("zero", "one", "add", "sub", "mul", "inv", "size")
+    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "size")
 
-    def __init__(self, zero, one, add, sub, mul, inv, size):
+    def __init__(self, zero, one, add, sub, neg, mul, inv, size):
         self.zero = zero
         self.one = one
         self.add = add
         self.sub = sub
+        self.neg = neg
         self.mul = mul
         self.inv = inv
         self.size = size
+
+
+def _power(ops, a, e):
+    """a^e for e >= 0 by square-and-multiply."""
+    acc = ops.one
+    while e > 0:
+        if e & 1:
+            acc = ops.mul(acc, a)
+        a = ops.mul(a, a)
+        e >>= 1
+    return acc
 
 
 def _poly_trim(ops, f):
@@ -160,6 +172,43 @@ def _poly_is_irreducible(ops, f) -> bool:
     return True
 
 
+def _reduction_rows(ops, modulus):
+    """Rows i = 0..d-2 hold x^(d+i) mod the degree-d modulus, as d
+    coefficients; multiplication folds the high product terms through them."""
+    d = len(modulus) - 1
+    rows = []
+    for i in range(d - 1):
+        rem = _poly_mod(ops, [ops.zero] * (d + i) + [ops.one], modulus)
+        rows.append(tuple(rem) + (ops.zero,) * (d - len(rem)))
+    return rows
+
+
+def _default_modulus(ops, elements, degree):
+    """The least irreducible monic polynomial of the given degree over the
+    field whose elements are listed in canonical order: binomials x^d - a
+    with the smallest a first, then the lexicographically smallest."""
+    zero, one = ops.zero, ops.one
+    for a in elements:
+        if a != zero:
+            cand = [ops.neg(a)] + [zero] * (degree - 1) + [one]
+            if _poly_is_irreducible(ops, cand):
+                return tuple(cand)
+    for tail in itertools.product(elements, repeat=degree):
+        cand = list(tail) + [one]
+        if _poly_is_irreducible(ops, cand):
+            return tuple(cand)
+    raise BadTowerError(f"no irreducible modulus of degree {degree} found")
+
+
+def _parse_int(token: str, text: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(
+            f"cannot parse field element {text!r}: {token!r} is not an integer"
+        ) from None
+
+
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
@@ -169,9 +218,8 @@ class Elem:
     """An element at one level of a :class:`FieldTower`.
 
     ``coords`` is the canonical little-endian coefficient tuple over the
-    next-lower level: a single residue for the prime field, ``m`` residues
-    for F_q, and ``r`` residue tuples for L.  Two elements are equal iff
-    their levels and coordinate tuples are.
+    next-lower level: ``m`` residues for F_q and ``r`` residue tuples for
+    L.  Two elements are equal iff their levels and coordinate tuples are.
     """
 
     __slots__ = ("tower", "level", "coords")
@@ -193,59 +241,43 @@ class Elem:
 
     def __add__(self, other):
         self._peer(other)
-        return Elem(
-            self.tower,
-            self.level,
-            self.tower._add(self.level, self.coords, other.coords),
-        )
+        ops = self.tower._ops[self.level]
+        return Elem(self.tower, self.level, ops.add(self.coords, other.coords))
 
     def __sub__(self, other):
         self._peer(other)
-        return Elem(
-            self.tower,
-            self.level,
-            self.tower._sub(self.level, self.coords, other.coords),
-        )
+        ops = self.tower._ops[self.level]
+        return Elem(self.tower, self.level, ops.sub(self.coords, other.coords))
 
     def __neg__(self):
-        return Elem(self.tower, self.level, self.tower._neg(self.level, self.coords))
+        ops = self.tower._ops[self.level]
+        return Elem(self.tower, self.level, ops.neg(self.coords))
 
     def __mul__(self, other):
         self._peer(other)
-        return Elem(
-            self.tower,
-            self.level,
-            self.tower._mul(self.level, self.coords, other.coords),
-        )
+        ops = self.tower._ops[self.level]
+        return Elem(self.tower, self.level, ops.mul(self.coords, other.coords))
 
     def __truediv__(self, other):
         self._peer(other)
         if not other:
             raise ZeroDivisionError("division by zero field element")
-        inv = self.tower._inv(self.level, other.coords)
+        ops = self.tower._ops[self.level]
         return Elem(
-            self.tower, self.level, self.tower._mul(self.level, self.coords, inv)
+            self.tower, self.level, ops.mul(self.coords, ops.inv(other.coords))
         )
 
     def __pow__(self, e: int):
-        tower = self.tower
+        ops = self.tower._ops[self.level]
+        base = self.coords
         if e < 0:
             if not self:
                 raise ZeroDivisionError("inverse of zero")
-            base = tower._inv(self.level, self.coords)
-            e = -e
-        else:
-            base = self.coords
-        acc = tower._one_coords(self.level)
-        while e > 0:
-            if e & 1:
-                acc = tower._mul(self.level, acc, base)
-            base = tower._mul(self.level, base, base)
-            e >>= 1
-        return Elem(tower, self.level, acc)
+            base, e = ops.inv(base), -e
+        return Elem(self.tower, self.level, _power(ops, base, e))
 
     def __bool__(self):
-        return self.coords != self.tower._zero_coords(self.level)
+        return self.coords != self.tower._ops[self.level].zero
 
     def __eq__(self, other):
         return (
@@ -268,12 +300,6 @@ class Elem:
 
     def norm(self) -> "Elem":
         return self.tower.norm(self)
-
-    def flat(self) -> tuple[int, ...]:
-        """Flattened residue tuple; the canonical sort/serialisation key."""
-        if self.level == TOP:
-            return tuple(c for part in self.coords for c in part)
-        return tuple(self.coords)
 
     # -- text form -----------------------------------------------------------
 
@@ -323,13 +349,17 @@ class FieldTower:
             one=1,
             add=lambda a, b: (a + b) % p,
             sub=lambda a, b: (a - b) % p,
+            neg=lambda a: (-a) % p,
             mul=lambda a, b: (a * b) % p,
             inv=lambda a: pow(a, -1, p),
             size=p,
         )
 
         if base_modulus is None:
-            base_modulus = self._default_modulus_base()
+            if m == 1:
+                base_modulus = (0, 1)  # x itself; F_p[x]/(x) = F_p
+            else:
+                base_modulus = _default_modulus(self._base_ops, range(p), m)
         base_modulus = tuple(int(c) % p for c in base_modulus)
         if len(base_modulus) != m + 1 or base_modulus[-1] != 1:
             raise BadTowerError("base_modulus must be monic of degree m")
@@ -337,44 +367,44 @@ class FieldTower:
             raise BadTowerError("base_modulus is reducible over F_p")
         self.base_modulus = base_modulus
 
-        # x^(m+i) mod base_modulus, i = 0 .. m-2, as mid coordinate tuples
-        self._mid_red = self._reduction_table(
-            [(-c) % p for c in base_modulus[:-1]], m, self._mid_shift_raw
-        )
+        self._mid_red = _reduction_rows(self._base_ops, list(base_modulus))
 
+        mid_zero = (0,) * m
+        mid_one = (1,) + (0,) * (m - 1)
         self._mid_ops = _CoeffOps(
-            zero=self._mid_zero_c(),
-            one=self._mid_one_c(),
+            zero=mid_zero,
+            one=mid_one,
             add=self._mid_add,
             sub=self._mid_sub,
+            neg=self._mid_neg,
             mul=self._mid_mul,
             inv=self._mid_inv,
             size=self.q,
         )
 
         if top_modulus is None:
-            top_modulus = self._default_modulus_top()
+            mids = list(itertools.product(range(p), repeat=m))
+            top_modulus = _default_modulus(self._mid_ops, mids, r)
         top_modulus = tuple(self._as_mid_coords(c) for c in top_modulus)
-        if len(top_modulus) != r + 1 or top_modulus[-1] != self._mid_one_c():
+        if len(top_modulus) != r + 1 or top_modulus[-1] != mid_one:
             raise BadTowerError("top_modulus must be monic of degree r")
         if not _poly_is_irreducible(self._mid_ops, list(top_modulus)):
             raise BadTowerError("top_modulus is reducible over F_q")
         self.top_modulus = top_modulus
 
-        self._top_red = self._reduction_table(
-            [self._mid_neg(c) for c in top_modulus[:-1]], r, self._top_shift_raw
-        )
+        self._top_red = _reduction_rows(self._mid_ops, list(top_modulus))
 
-        self._zero = {
-            BASE_PRIME: (0,),
-            MID: self._mid_zero_c(),
-            TOP: self._top_zero_c(),
-        }
-        self._one = {
-            BASE_PRIME: (1 % p,),
-            MID: self._mid_one_c(),
-            TOP: self._top_one_c(),
-        }
+        self._top_ops = _CoeffOps(
+            zero=(mid_zero,) * r,
+            one=(mid_one,) + (mid_zero,) * (r - 1),
+            add=self._top_add,
+            sub=self._top_sub,
+            neg=self._top_neg,
+            mul=self._top_mul,
+            inv=self._top_inv,
+            size=self.top_order,
+        )
+        self._ops = {MID: self._mid_ops, TOP: self._top_ops}
 
         if generator_of_units is None:
             generator_of_units = self._find_generator()
@@ -398,14 +428,6 @@ class FieldTower:
             self._frob.append(row)
 
     # -- raw mid-level coordinate arithmetic --------------------------------
-
-    def _mid_zero_c(self):
-        return (0,) * self.m
-
-    def _mid_one_c(self):
-        one = [0] * self.m
-        one[0] = 1 % self.p
-        return tuple(one)
 
     def _mid_add(self, a, b):
         p = self.p
@@ -443,40 +465,14 @@ class FieldTower:
                     out[j] = (out[j] + c * red[j]) % p
         return tuple(out)
 
-    def _mid_shift_raw(self, a):
-        """Multiply a mid coordinate tuple by y, before reduction tables exist."""
-        p, m = self.p, self.m
-        carry = a[m - 1]
-        out = [0] + list(a[: m - 1])
-        if carry:
-            for j in range(m):
-                out[j] = (out[j] + carry * ((-self.base_modulus[j]) % p)) % p
-        return tuple(out)
-
     def _mid_inv(self, a):
-        if a == self._mid_zero_c():
+        if a == self._mid_ops.zero:
             raise ZeroDivisionError("inverse of zero")
         if self.m == 1:
             return (pow(a[0], -1, self.p),)
-        return self._mid_pow(a, self.q - 2)
-
-    def _mid_pow(self, a, e):
-        acc = self._mid_one_c()
-        base = a
-        while e > 0:
-            if e & 1:
-                acc = self._mid_mul(acc, base)
-            base = self._mid_mul(base, base)
-            e >>= 1
-        return acc
+        return _power(self._mid_ops, a, self.q - 2)
 
     # -- raw top-level coordinate arithmetic ---------------------------------
-
-    def _top_zero_c(self):
-        return (self._mid_zero_c(),) * self.r
-
-    def _top_one_c(self):
-        return (self._mid_one_c(),) + (self._mid_zero_c(),) * (self.r - 1)
 
     def _top_add(self, a, b):
         return tuple(self._mid_add(x, y) for x, y in zip(a, b))
@@ -491,7 +487,7 @@ class FieldTower:
         r = self.r
         if r == 1:
             return (self._mid_mul(a[0], b[0]),)
-        zero = self._mid_zero_c()
+        zero = self._mid_ops.zero
         conv = [zero] * (2 * r - 1)
         for i, x in enumerate(a):
             if x != zero:
@@ -507,96 +503,20 @@ class FieldTower:
                     out[j] = self._mid_add(out[j], self._mid_mul(c, red[j]))
         return tuple(out)
 
-    def _top_shift_raw(self, a):
-        zero = self._mid_zero_c()
-        carry = a[self.r - 1]
-        out = [zero] + list(a[: self.r - 1])
-        if carry != zero:
-            for j in range(self.r):
-                out[j] = self._mid_add(
-                    out[j], self._mid_mul(carry, self._mid_neg(self.top_modulus[j]))
-                )
-        return tuple(out)
-
     def _top_inv(self, a):
-        if a == self._top_zero_c():
+        if a == self._top_ops.zero:
             raise ZeroDivisionError("inverse of zero")
-        acc = self._top_one_c()
-        base = a
-        e = self.top_order - 2
-        while e > 0:
-            if e & 1:
-                acc = self._top_mul(acc, base)
-            base = self._top_mul(base, base)
-            e >>= 1
-        return acc
-
-    def _reduction_table(self, first_row, degree, shift):
-        """Rows i = 0..degree-2 hold x^(degree+i) reduced mod the modulus."""
-        rows = []
-        cur = tuple(first_row)
-        for _ in range(max(degree - 1, 0)):
-            rows.append(cur)
-            cur = shift(cur)
-        return rows
-
-    # -- level dispatch ------------------------------------------------------
-
-    def _add(self, level, a, b):
-        if level == TOP:
-            return self._top_add(a, b)
-        if level == MID:
-            return self._mid_add(a, b)
-        return ((a[0] + b[0]) % self.p,)
-
-    def _sub(self, level, a, b):
-        if level == TOP:
-            return self._top_sub(a, b)
-        if level == MID:
-            return self._mid_sub(a, b)
-        return ((a[0] - b[0]) % self.p,)
-
-    def _neg(self, level, a):
-        if level == TOP:
-            return self._top_neg(a)
-        if level == MID:
-            return self._mid_neg(a)
-        return ((-a[0]) % self.p,)
-
-    def _mul(self, level, a, b):
-        if level == TOP:
-            return self._top_mul(a, b)
-        if level == MID:
-            return self._mid_mul(a, b)
-        return ((a[0] * b[0]) % self.p,)
-
-    def _inv(self, level, a):
-        if level == TOP:
-            return self._top_inv(a)
-        if level == MID:
-            return self._mid_inv(a)
-        return (pow(a[0], -1, self.p),)
-
-    def _zero_coords(self, level):
-        return self._zero[level]
-
-    def _one_coords(self, level):
-        return self._one[level]
+        return _power(self._top_ops, a, self.top_order - 2)
 
     # -- constructors ----------------------------------------------------------
-
-    def base(self, v: int) -> Elem:
-        return Elem(self, BASE_PRIME, (int(v) % self.p,))
 
     def _as_mid_coords(self, x) -> tuple:
         if isinstance(x, Elem):
             if x.tower is not self:
                 raise LevelMismatchError("element belongs to a different tower")
-            if x.level == MID:
-                return x.coords
-            if x.level == BASE_PRIME:
-                return self._lift_base(x.coords)
-            raise LevelMismatchError("expected a mid-level element")
+            if x.level != MID:
+                raise LevelMismatchError("expected a mid-level element")
+            return x.coords
         if isinstance(x, int):
             coords = [0] * self.m
             coords[0] = x % self.p
@@ -605,11 +525,6 @@ class FieldTower:
         if len(coords) != self.m:
             raise LevelMismatchError(f"mid coords must have length m = {self.m}")
         return coords
-
-    def _lift_base(self, coords):
-        out = [0] * self.m
-        out[0] = coords[0]
-        return tuple(out)
 
     def mid(self, x) -> Elem:
         """F_q element from an int (image of the integer) or coord sequence."""
@@ -623,9 +538,7 @@ class FieldTower:
             if x.level == TOP:
                 return x
             mid_c = self._as_mid_coords(x)
-            return Elem(
-                self, TOP, (mid_c,) + (self._mid_zero_c(),) * (self.r - 1)
-            )
+            return Elem(self, TOP, (mid_c,) + (self._mid_ops.zero,) * (self.r - 1))
         if isinstance(x, int):
             return self.top(self.mid(x))
         parts = [self._as_mid_coords(c) for c in x]
@@ -634,10 +547,10 @@ class FieldTower:
         return Elem(self, TOP, tuple(parts))
 
     def zero(self, level=TOP) -> Elem:
-        return Elem(self, level, self._zero[level])
+        return Elem(self, level, self._ops[level].zero)
 
     def one(self, level=TOP) -> Elem:
-        return Elem(self, level, self._one[level])
+        return Elem(self, level, self._ops[level].one)
 
     def mid_zero(self) -> Elem:
         return self.zero(MID)
@@ -650,10 +563,6 @@ class FieldTower:
 
     def top_one(self) -> Elem:
         return self.one(TOP)
-
-    def embed_top(self, x: Elem) -> Elem:
-        """Embed a mid (or prime) element into L."""
-        return self.top(x)
 
     def scale(self, c: Elem, x: Elem) -> Elem:
         """Action of c in F_q on x in L, cheaper than embed-then-multiply."""
@@ -669,13 +578,13 @@ class FieldTower:
             return x
         if x.level != TOP:
             raise LevelMismatchError("expected a top element")
-        zero = self._mid_zero_c()
+        zero = self._mid_ops.zero
         if any(part != zero for part in x.coords[1:]):
             raise ValueError(f"{self.format_elem(x)} does not lie in F_q")
         return Elem(self, MID, x.coords[0])
 
     def in_mid_subfield(self, x: Elem) -> bool:
-        zero = self._mid_zero_c()
+        zero = self._mid_ops.zero
         return x.level == TOP and all(part == zero for part in x.coords[1:])
 
     # -- enumeration (ascending canonical order) -------------------------------
@@ -710,9 +619,10 @@ class FieldTower:
         if h == 0:
             return x
         table = self._frob[h]
-        acc = self._top_zero_c()
+        zero = self._mid_ops.zero
+        acc = self._top_ops.zero
         for t, c in enumerate(x.coords):
-            if c != self._mid_zero_c():
+            if c != zero:
                 img = table[t]
                 acc = self._top_add(
                     acc, tuple(self._mid_mul(c, part) for part in img)
@@ -756,7 +666,8 @@ class FieldTower:
             raise LevelMismatchError("is_square expects an F_q element")
         if not x:
             raise ZeroInputError("is_square is undefined at zero")
-        return self._mid_pow(x.coords, (self.q - 1) // 2) == self._mid_one_c()
+        ops = self._mid_ops
+        return _power(ops, x.coords, (self.q - 1) // 2) == ops.one
 
     def skew_unit(self) -> Elem:
         """The least alpha in L with alpha^q = -alpha and alpha not in F_q.
@@ -810,41 +721,6 @@ class FieldTower:
                 return cand
         raise BadTowerError("no generator found (is the base modulus irreducible?)")
 
-    # -- default moduli ----------------------------------------------------------
-
-    def _default_modulus_base(self):
-        p, m = self.p, self.m
-        if m == 1:
-            return (0, 1)  # x itself; F_p[x]/(x) = F_p
-        for a in range(1, p):
-            cand = [(-a) % p] + [0] * (m - 1) + [1]
-            if _poly_is_irreducible(self._base_ops, cand):
-                return tuple(cand)
-        for tail in itertools.product(range(p), repeat=m):
-            cand = list(tail) + [1]
-            if _poly_is_irreducible(self._base_ops, cand):
-                return tuple(cand)
-        raise BadTowerError("no irreducible base modulus found")
-
-    def _default_modulus_top(self):
-        ops = self._mid_ops
-        r = self.r
-        one = self._mid_one_c()
-        mids = [
-            digits for digits in itertools.product(range(self.p), repeat=self.m)
-        ]
-        for a in mids:
-            if a == self._mid_zero_c():
-                continue
-            cand = [self._mid_neg(a)] + [self._mid_zero_c()] * (r - 1) + [one]
-            if _poly_is_irreducible(ops, cand):
-                return tuple(cand)
-        for tail in itertools.product(mids, repeat=r):
-            cand = list(tail) + [one]
-            if _poly_is_irreducible(ops, cand):
-                return tuple(cand)
-        raise BadTowerError("no irreducible top modulus found")
-
     # -- text and serialisation ----------------------------------------------------
 
     def _format_mid_coords(self, coords) -> str:
@@ -861,8 +737,6 @@ class FieldTower:
         return "+".join(terms)
 
     def format_elem(self, x: Elem) -> str:
-        if x.level == BASE_PRIME:
-            return str(x.coords[0])
         if x.level == MID:
             return self._format_mid_coords(x.coords)
         parts = []
@@ -882,9 +756,9 @@ class FieldTower:
         text = text.strip()
         if text.startswith("["):
             body = text.strip("[]")
-            coords = [int(t) for t in body.split(",")] if body else []
+            coords = [_parse_int(t, text) for t in body.split(",")] if body else []
             return self.mid(coords + [0] * (self.m - len(coords)))
-        return self.mid(int(text))
+        return self.mid(_parse_int(text, text))
 
     def parse_top(self, text: str) -> Elem:
         """Parse 'c0+c1u' / 'c0+c1u+c2u^2' / '[c0,c1]' / '3u' / 'u' forms.
@@ -895,26 +769,26 @@ class FieldTower:
         text = text.strip().replace(" ", "")
         if text.startswith("["):
             body = text.strip("[]")
-            coords = [int(t) for t in body.split(",")] if body else []
+            coords = [_parse_int(t, text) for t in body.split(",")] if body else []
             return self.top(coords + [0] * (self.r - len(coords)))
         if self.m != 1:
             raise ValueError("textual element syntax requires m = 1; use [..] lists")
         coords = [0] * self.r
-        text = text.replace("-", "+-")
-        if text.startswith("+"):
-            text = text[1:]
-        for term in text.split("+"):
+        terms = text.replace("-", "+-")
+        if terms.startswith("+"):
+            terms = terms[1:]
+        for term in terms.split("+"):
             if not term:
                 continue
             if "u" in term:
                 head, _, tail = term.partition("u")
-                power = int(tail[1:]) if tail.startswith("^") else 1
+                power = _parse_int(tail[1:], text) if tail.startswith("^") else 1
                 if head in ("", "-"):
                     head += "1"
-                coeff = int(head)
+                coeff = _parse_int(head, text)
             else:
                 power = 0
-                coeff = int(term)
+                coeff = _parse_int(term, text)
             if power >= self.r:
                 raise ValueError(f"u^{power} exceeds extension degree r = {self.r}")
             coords[power] = (coords[power] + coeff) % self.p

@@ -64,9 +64,6 @@ class Mat:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def transpose(self) -> "Mat":
         return Mat(
             self.tower,

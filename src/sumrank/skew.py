@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParamsError, BlockOutOfRangeError
-from .fields import MID, TOP, Elem, FieldTower
+from .fields import MID, Elem, FieldTower
 from . import linalg
 
 
@@ -105,10 +105,6 @@ class SkewPoly:
                 if b:
                     out[i + j] = out[i + j] + a * tower.frobenius(b, i)
         return SkewPoly(tower, out)
-
-    def scale(self, c: Elem) -> "SkewPoly":
-        """Left scalar multiple c * f with c in L."""
-        return SkewPoly(self.tower, [c * x for x in self.coeffs])
 
     def __str__(self):
         if not self.coeffs:
@@ -230,14 +226,6 @@ class ThetaPoly:
             cols.append([Elem(tower, MID, part) for part in image.coords])
         rows = [[cols[t][s] for t in range(r)] for s in range(r)]
         return linalg.Mat.from_rows(rows, tower=tower, level=MID, cols=r)
-
-    def map_trace(self) -> Elem:
-        """Trace of the underlying K-linear map (sum of the matrix diagonal)."""
-        mat = self.matrix()
-        acc = self.tower.mid_zero()
-        for i in range(mat.rows):
-            acc = acc + mat[i, i]
-        return acc
 
     def coords_mid(self) -> list[Elem]:
         """K-coordinates: r tuples of r residues, flattened."""
@@ -383,17 +371,6 @@ class QuotientCtx:
             c = f.coeff(i)
             out.extend(Elem(tower, MID, part) for part in c.coords)
         return out
-
-    def from_coords(self, vec) -> SkewPoly:
-        tower = self.tower
-        r = tower.r
-        if len(vec) != self.ambient_dim:
-            raise BadParamsError("coordinate vector has the wrong length")
-        coeffs = []
-        for i in range(self.modulus_degree):
-            parts = [vec[i * r + t].coords for t in range(r)]
-            coeffs.append(Elem(tower, TOP, tuple(parts)))
-        return SkewPoly(tower, coeffs)
 
     def ambient_basis(self):
         """The monomial K-basis u^t X^i of the residue space, in slot order."""

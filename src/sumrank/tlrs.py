@@ -23,7 +23,7 @@ from . import linalg
 from .errors import BadParamsError, TooLargeError
 from .fields import MID, TOP, Elem, FieldTower
 from .linalg import Mat, Subspace
-from .skew import QuotientCtx, SkewPoly, evaluate_at_point, sum_rank_weight
+from .skew import QuotientCtx, SkewPoly, sum_rank_weight
 
 DEFAULT_MAX_ENUMERATION = 10**6
 
@@ -107,27 +107,6 @@ def lambda_form(f: SkewPoly, g: SkewPoly, ctx: QuotientCtx) -> Elem:
         if fi and gi:
             acc = acc + fi * gi
     return tower.trace(acc)
-
-
-def lambda_form_eval_side(f: SkewPoly, g: SkewPoly, ctx: QuotientCtx) -> Elem:
-    """Experimental evaluation-side pairing.
-
-    Computes ell^{-1} * sum_i trace(F(alpha_i) composed with G(alpha_i^{-1})),
-    reading 'trace' as the linear-map trace of the composed block.  This is
-    an exploratory cross-check only: it is NOT the package's bilinear form
-    and is not guaranteed to coincide with :func:`lambda_form`.
-    """
-    tower = ctx.tower
-    f = ctx.reduce(f)
-    g = ctx.reduce(g)
-    acc = tower.mid_zero()
-    for i in range(1, ctx.ell + 1):
-        alpha = ctx.alphas[i - 1]
-        block = ctx.evaluate(f, i).compose(
-            evaluate_at_point(g, tower.top_one() / alpha)
-        )
-        acc = acc + block.map_trace()
-    return acc / tower.mid(ctx.ell)
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def test_c04_evaluation_algebra(f25s):
     for _ in range(200):
         f, g = rand_poly(), rand_poly()
         a, b = tower.mid(rng.randrange(5)), tower.mid(rng.randrange(5))
-        combo = f.scale(tower.top(a)) + g.scale(tower.top(b))
+        combo = SkewPoly(tower, [a]) * f + SkewPoly(tower, [b]) * g
         lhs = ctx.eval_map(combo).coords_mid()
         rf = ctx.eval_map(f).coords_mid()
         rg = ctx.eval_map(g).coords_mid()

@@ -337,6 +337,9 @@ def test_power_sums_convention(f25, f169):
 
 
 def test_geometric_closed_form(f169):
+    """p_e over {1, g, .., g^(ell-1)} is (g^(e*ell) - 1) / (g^e - 1) when
+    g^e != 1, else ell mod p."""
+    one = f169.mid_one()
     for g in f169.mid_units():
         if f169.multiplicative_order(g) != 12:
             continue
@@ -344,7 +347,11 @@ def test_geometric_closed_form(f169):
             lams = [g**i for i in range(ell)]
             ps = acd.power_sums(f169, lams, 6)
             for e in range(7):
-                assert ps[e] == acd.geometric_power_sum(f169, g, ell, e)
+                ge = g**e
+                expected = (
+                    f169.mid(ell) if ge == one else (ge**ell - one) / (ge - one)
+                )
+                assert ps[e] == expected
 
 
 # ---------------------------------------------------------------- search
@@ -364,6 +371,19 @@ def test_search_geometric_fails_then_exhaustive_recovers(f25):
     params = acd.lambda_search(f25, 1, 2)  # auto falls back to subsets
     assert acd.acd_oracle(params) == 0
     assert acd.min_distance_oracle(params) == 2
+
+
+def test_search_fails_fast_once_k_plus_ell_reaches_q(f169, monkeypatch):
+    """(4, 9) at q = 13 is decided by the rank bound on T, before any
+    candidate is scanned and whatever the strategy."""
+    scans = []
+    monkeypatch.setattr(acd, "_dets_pass", lambda *a, **kw: scans.append(a))
+    for strategy in ("auto", "geometric", "exhaustive"):
+        with pytest.raises(SearchFailedError) as info:
+            acd.lambda_search(f169, 4, 9, strategy=strategy)
+        assert info.value.candidates_scanned == 0
+        assert "rank T <= 1 + 2(q - 1 - ell) = 7 < 2k = 8" in str(info.value)
+    assert not scans
 
 
 def test_search_validates_ranges(f25):
@@ -467,3 +487,19 @@ def test_report_roundtrip(good25):
     assert record["mds_by_criterion"]
     assert record["min_distance"] == 2
     assert record["singleton_bound"] == 2
+
+
+def test_build_report_computes_matrices_once(f169, monkeypatch):
+    calls = {"generator_matrix": 0, "t_matrix": 0, "power_sums": 0}
+    for name in calls:
+        original = getattr(acd, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(acd, name, counted)
+    params = acd.AcdParams.make(f169, 1, [1, 2, 3, 4])
+    report = acd.build_report(params, with_oracle=True, with_distance=True)
+    assert report.delta is not None and report.min_distance is not None
+    assert all(n <= 1 for n in calls.values()), calls

@@ -1,8 +1,10 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from sumrank.cli import main
 
@@ -144,3 +146,47 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "12/12 checks passed" in proc.stdout
+
+
+def test_bad_input_names_the_input(capsys, monkeypatch):
+    cases = [
+        ({}, ["acd-sweep", "--p", "13", "--max-hull", "2"], "hull guard"),
+        ({}, ["acd-sweep", "--p", "13", "--max-ell", "1"], "--max-ell"),
+        (
+            {"SUMRANK_MAX_HULL": "abc"},
+            ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3"],
+            "SUMRANK_MAX_HULL",
+        ),
+        ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,x"], "'x'"),
+        ({}, EXAMPLE_BUILD[:-1] + ["2+1v"], "'1v'"),
+    ]
+    for env, argv, named in cases:
+        monkeypatch.delenv("SUMRANK_MAX_HULL", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "", argv
+        assert named in captured.err, (argv, captured.err)
+        assert "randrange" not in captured.err, argv
+        assert "int()" not in captured.err, argv
+
+
+def test_pinned_corpus_byte_identical(capsys, monkeypatch):
+    """Every command of the benchmark's pinned corpus, run in-process, keeps
+    its exit code and the SHA-256 of its stdout."""
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "cli_corpus.json"
+    for env in ("SUMRANK_MAX_ENUM", "SUMRANK_MAX_HULL"):
+        monkeypatch.delenv(env, raising=False)
+    mismatches = []
+    for entry in json.loads(corpus.read_text()):
+        try:
+            code = main(entry["argv"])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        out = capsys.readouterr().out.encode()
+        digest = hashlib.sha256(out).hexdigest()
+        if (code, digest) != (entry["exit"], entry["stdout_sha256"]):
+            mismatches.append(f"{entry['name']}: exit {code}, sha256 {digest}")
+    assert not mismatches, mismatches

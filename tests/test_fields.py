@@ -22,11 +22,29 @@ def rand_top(tower, rng):
 # ---------------------------------------------------------------- arithmetic
 
 
+# (p, m, r): default base_modulus, top_modulus, generator_of_units
+DEFAULT_MODELS = {
+    (5, 1, 2): ([0, 1], [[3], [0], [1]], [2]),
+    (13, 1, 2): ([0, 1], [[11], [0], [1]], [2]),
+    (17, 1, 2): ([0, 1], [[14], [0], [1]], [3]),
+    (3, 2, 2): ([1, 0, 1], [[2, 2], [0, 0], [1, 0]], [1, 1]),
+    (3, 2, 3): ([1, 0, 1], [[0, 1], [0, 0], [0, 1], [1, 0]], [1, 1]),
+    (7, 2, 2): ([4, 0, 1], [[6, 6], [0, 0], [1, 0]], [1, 1]),
+    (5, 1, 3): ([0, 1], [[1], [0], [1], [1]], [2]),
+    (7, 1, 3): ([0, 1], [[5], [0], [0], [1]], [3]),
+    (2, 3, 2): ([1, 0, 1, 1], [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [0, 0, 1]),
+}
+
+
 def test_pinned_quadratic_model(f25):
     # default modulus gives u^2 = 2 over F_5
     assert [list(c) for c in f25.top_modulus] == [[3], [0], [1]]
     u = f25.top([0, 1])
     assert u * u == f25.top(2)
+    for (p, m, r), expected in DEFAULT_MODELS.items():
+        d = FieldTower(p, m, r).to_dict()
+        got = (d["base_modulus"], d["top_modulus"], d["generator_of_units"])
+        assert got == expected, (p, m, r)
 
 
 def test_square_of_two_plus_u(f25):

@@ -129,14 +129,11 @@ def test_form_nondegenerate_on_ambient(f25, ctx25):
 
 
 def test_eval_side_form_is_experimental(f25, ctx25):
-    """The evaluation-side pairing interpretation agrees on some inputs but
-    measurably differs on others; it is a cross-check, not the contract."""
+    """<1, 1> and <X, X> under the package's bilinear form over F_25."""
     one = SkewPoly.one(f25)
     x = SkewPoly.monomial(f25, f25.top_one(), 1)
     assert tlrs.lambda_form(one, one, ctx25) == f25.mid(2)
-    assert tlrs.lambda_form_eval_side(one, one, ctx25) == f25.mid(2)
     assert tlrs.lambda_form(x, x, ctx25) == f25.mid(2)
-    assert tlrs.lambda_form_eval_side(x, x, ctx25) == f25.mid(3)  # measured
 
 
 # ---------------------------------------------------------------- Gram matrix
@@ -320,7 +317,7 @@ def test_weight_scaling_invariance(f25, ctx25):
         )
         base = ctx25.eval_map(f)
         for c in f25.mid_units():
-            scaled = ctx25.eval_map(f.scale(f25.top(c)))
+            scaled = ctx25.eval_map(SkewPoly(f25, [c]) * f)
             assert sum_rank_weight(scaled) == sum_rank_weight(base)
             for a, b in zip(base.parts, scaled.parts):
                 assert theta_rank(a) == theta_rank(b)
