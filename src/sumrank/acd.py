@@ -597,9 +597,10 @@ def lambda_search(
 
     No such set exists when k + ell >= q: every power sum p_e over all of
     F_q* vanishes for 1 <= e <= 2k, so T(lambda) = -2 E_11 - T(F_q* minus
-    lambda) has rank at most 1 + 2(q - 1 - ell) < 2k.  The search then
-    raises SearchFailedError at once, whatever the strategy, with no
-    candidate scanned."""
+    lambda) has rank at most 1 + 2(q - 1 - ell) < 2k.  Nor, for gamma =
+    alpha, when k = 1 and p | ell (only if m > 1): det G0 = p_0 = 0, so T
+    is singular.  Either way the search raises SearchFailedError at once,
+    whatever the strategy, with no candidate scanned."""
     if strategy not in ("auto", "geometric", "exhaustive"):
         raise BadParamsError(f"unknown strategy {strategy!r}")
     q = tower.q
@@ -612,6 +613,12 @@ def lambda_search(
             f"no evaluation set of length {ell} certifies for k={k} over q={q}:"
             f" k + ell >= q, so rank T <= 1 + 2(q - 1 - ell)"
             f" = {1 + 2 * (q - 1 - ell)} < 2k = {2 * k}",
+            0,
+        )
+    if k == 1 and ell % tower.p == 0:
+        raise SearchFailedError(
+            f"no evaluation set of length {ell} certifies for k=1 over q={q} with gamma"
+            f" = alpha: p = {tower.p} divides ell, so det G0 = p_0 = 0 and T is singular",
             0,
         )
     scanned = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import random
@@ -161,7 +162,17 @@ def cmd_tlrs_sweep(args) -> int:
 
 
 def _parse_lambda_set(tower, text):
-    return [tower.parse_mid(tok) for tok in text.split(",") if tok.strip()]
+    """Points split on the commas outside [..] coordinate lists."""
+    tokens = []
+    for part in text.split(","):
+        if tokens and tokens[-1].count("[") > tokens[-1].count("]"):
+            tokens[-1] += "," + part
+        else:
+            tokens.append(part)
+    for tok in tokens:
+        if tok.count("[") != tok.count("]"):
+            raise BadParamsError(f"unbalanced brackets in --lambda token {tok.strip()!r}")
+    return [tower.parse_mid(tok) for tok in tokens if tok.strip()]
 
 
 def cmd_acd_build(args) -> int:
@@ -187,18 +198,13 @@ def cmd_acd_search(args) -> int:
     max_hull = _guard(args, "max_hull", ENV_MAX_HULL, acd.DEFAULT_MAX_HULL)
     tower = _tower(args, r=2)
     params = acd.lambda_search(tower, args.k, args.ell, strategy=args.strategy)
-    try:
-        report = acd.build_report(
-            params,
-            with_oracle=True,
-            with_distance=args.with_distance,
-            max_enumeration=max_enum,
-            max_hull=max_hull,
-        )
-    except TooLargeError:
-        report = acd.build_report(
-            params, with_oracle=True, with_distance=False, max_hull=max_hull
-        )
+    report = acd.build_report(params, with_oracle=True, max_hull=max_hull)
+    if args.with_distance:
+        try:
+            dist = acd.min_distance_oracle(params, max_enumeration=max_enum)
+        except TooLargeError:
+            dist = None
+        report = dataclasses.replace(report, min_distance=dist)
     record = report.to_dict()
     record["strategy"] = args.strategy
     Emitter(args.format).emit(record)
@@ -405,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="lam",
         type=str,
         required=True,
-        help="comma-separated evaluation points, e.g. 2,3",
+        help="comma-separated evaluation points, e.g. 2,3 or [1,1],[2,0]",
     )
     s.add_argument(
         "--gamma", type=str, default=None, help="twist scalar (default: alpha)"

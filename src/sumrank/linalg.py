@@ -73,6 +73,12 @@ class Mat:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
+    def __add__(self, other: "Mat") -> "Mat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} + {other.rows}x{other.cols}")
+        rows = [[x + y for x, y in zip(a, b)] for a, b in zip(self.entries, other.entries)]
+        return Mat(self.tower, self.level, self.rows, self.cols, rows)
+
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -171,12 +177,14 @@ def _row_reduce(m: Mat):
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = m.tower.one(m.level) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+        pivot = rows[rank]
+        # the pivot row is zero left of col, so only col.. changes anywhere
+        inv = m.tower.one(m.level) / pivot[col]
+        pivot[col:] = [x * inv for x in pivot[col:]]
         for i in range(nrows):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+                rows[i][col:] = [x - f * y for x, y in zip(rows[i][col:], pivot[col:])]
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -213,6 +221,11 @@ def det(m: Mat) -> Elem:
                 f = rows[i][col] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
     return acc
+
+
+def rank(m: Mat) -> int:
+    """Rank of m: the pivot count of its elimination, no kernel built."""
+    return len(_row_reduce(m)[1])
 
 
 def rank_kernel(m: Mat) -> tuple[int, Subspace]:

@@ -240,8 +240,7 @@ class ThetaPoly:
 
 def theta_rank(t: ThetaPoly) -> int:
     """Rank of the K-linear map represented by t (0..r)."""
-    rank, _ = linalg.rank_kernel(t.matrix())
-    return rank
+    return linalg.rank(t.matrix())
 
 
 def evaluate_at_point(f: SkewPoly, alpha: Elem) -> ThetaPoly:

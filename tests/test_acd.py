@@ -413,6 +413,36 @@ def test_search_prime_power_base():
     assert acd.delta_identity_check(params)
 
 
+def test_search_fails_fast_at_k1_when_p_divides_ell(f81, monkeypatch):
+    """q = 9, k = 1: p_0 = ell = 0 in F_q when 3 | ell, so det G0 = 0 and,
+    with gamma = alpha, T is singular.  The search says so with no scan, and
+    the hull oracle confirms a nontrivial hull on every subset.  Other twists
+    can certify there; one such code is pinned."""
+    tower = f81
+    units = list(tower.mid_units())
+    scans = []
+    monkeypatch.setattr(acd, "_dets_pass", lambda *a, **kw: scans.append(a))
+    for ell, subsets in ((3, 56), (6, 28)):
+        for strategy in ("auto", "geometric", "exhaustive"):
+            with pytest.raises(SearchFailedError) as info:
+                acd.lambda_search(tower, 1, ell, strategy=strategy)
+            assert info.value.candidates_scanned == 0
+            assert "p = 3 divides ell" in str(info.value)
+        hulls = [
+            acd.acd_oracle(acd.AcdParams.make(tower, 1, lam))
+            for lam in itertools.combinations(units, ell)
+        ]
+        assert len(hulls) == subsets and min(hulls) >= 1
+    assert not scans
+    lam = [tower.parse_mid(x) for x in ("[1,2]", "[2,1]", "[2,2]")]
+    gamma = tower.top([[2, 2], [2, 1]])
+    assert str(gamma) == "(2+2y)+(2+1y)u"
+    params = acd.AcdParams.make(tower, 1, lam, gamma)
+    assert acd.acd_check(params).matrix_ok
+    assert acd.acd_oracle(params) == 0
+    assert acd.min_distance_oracle(params) == 3
+
+
 def test_no_certifiable_set_once_k_plus_ell_reaches_q(f81):
     """For k + ell >= q, T(lambda) = -2 E_11 - T(F_q* minus lambda) has rank
     at most 1 + 2(q-1-ell) < 2k, so every evaluation set and every twist

@@ -190,3 +190,47 @@ def test_pinned_corpus_byte_identical(capsys, monkeypatch):
         if (code, digest) != (entry["exit"], entry["stdout_sha256"]):
             mismatches.append(f"{entry['name']}: exit {code}, sha256 {digest}")
     assert not mismatches, mismatches
+
+
+def test_lambda_points_may_be_coordinate_lists(capsys):
+    """Commas inside [..] belong to one point; an unclosed bracket is an
+    error that names its token, not a silently truncated point."""
+    base = ["acd-build", "--p", "3", "--m", "2", "--k", "1", "--format", "json"]
+    code, out = run_cli(capsys, base + ["--lambda", "[1,1],[2,0]"])
+    assert code == 0
+    assert json.loads(out)["lambda"] == ["1+1y", "2+0y"]
+    for text, token in (("[1", "'[1'"), ("[1,1],2]", "'2]'")):
+        code = main(base + ["--lambda", text])
+        captured = capsys.readouterr()
+        assert code == 2, text
+        assert captured.out == "", text
+        assert token in captured.err, (text, captured.err)
+
+
+def test_search_with_tripped_distance_guard_builds_report_once(capsys, monkeypatch):
+    """A distance guard that trips leaves min_distance empty without
+    rebuilding the report: one hull oracle, and acd_check once in the
+    search and once in the report."""
+    from sumrank import acd
+
+    calls = {"acd_oracle": 0, "acd_check": 0}
+    for name in calls:
+        original = getattr(acd, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(acd, name, counted)
+    monkeypatch.delenv("SUMRANK_MAX_ENUM", raising=False)
+    code, out = run_cli(
+        capsys,
+        ["acd-search", "--p", "13", "--k", "2", "--ell", "6",
+         "--with-distance", "--max-enum", "1000"],
+    )
+    assert code == 0
+    assert calls == {"acd_oracle": 1, "acd_check": 2}
+    assert "min_distance: None\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bf300c913e3cd026a0b4233e1b2d70b70b31713b751ccac7546a601840a1fefe"
+    )

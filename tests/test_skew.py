@@ -1,12 +1,15 @@
 """Twisted polynomial ring, quotient reduction, evaluation, sum-rank weight."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumrank import linalg
 from sumrank.errors import BadParamsError, BlockOutOfRangeError
-from sumrank.fields import MID
+from sumrank.fields import MID, FieldTower
 from sumrank.skew import (
     QuotientCtx,
     SkewPoly,
@@ -325,3 +328,39 @@ def test_weight_positive_definite(f25, ctx25):
         w = sum_rank_weight(ctx25.eval_map(f))
         assert (w == 0) == (not ctx25.reduce(f))
         assert 0 <= w <= 4
+
+
+@functools.lru_cache(maxsize=None)
+def _linearity_ctx(shape, ell):
+    return QuotientCtx.build(FieldTower(*shape), ell)
+
+
+def _top_from_index(tower, index):
+    digits = [(index // tower.p**i) % tower.p for i in range(tower.m * tower.r)]
+    return tower.top([digits[t * tower.m : (t + 1) * tower.m] for t in range(tower.r)])
+
+
+@pytest.mark.parametrize("shape,ell", [((5, 1, 2), 4), ((3, 2, 2), 2), ((5, 1, 3), 2)])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_eval_map_is_fq_linear(shape, ell, data):
+    """eval_map(c f + g) = c eval_map(f) + eval_map(g) blockwise for c in
+    F_q; both polynomials have degree >= ell*r, so reduction takes part."""
+    ctx = _linearity_ctx(shape, ell)
+    tower = ctx.tower
+    n = ctx.modulus_degree
+
+    def poly():
+        degree = data.draw(st.integers(n, n + 2 * tower.r))
+        body = data.draw(
+            st.lists(st.integers(0, tower.top_order - 1), min_size=degree, max_size=degree)
+        )
+        lead = data.draw(st.integers(1, tower.top_order - 1))
+        return SkewPoly(tower, [_top_from_index(tower, i) for i in body + [lead]])
+
+    f, g = poly(), poly()
+    digits = st.lists(st.integers(0, tower.p - 1), min_size=tower.m, max_size=tower.m)
+    c = tower.top(tower.mid(data.draw(digits)))
+    combined = ctx.eval_map(SkewPoly(tower, [c]) * f + g)
+    for got, a, b in zip(combined, ctx.eval_map(f), ctx.eval_map(g)):
+        assert got == ThetaPoly(tower, [c * x + y for x, y in zip(a.coeffs, b.coeffs)])

@@ -1,12 +1,13 @@
 """Twisted-code construction, Gram machinery, and double-routed LCD checks."""
 
+import itertools
 import random
 
 import pytest
 
 from sumrank import linalg, tlrs
 from sumrank.errors import BadParamsError, TooLargeError
-from sumrank.fields import MID
+from sumrank.fields import MID, FieldTower
 from sumrank.skew import QuotientCtx, SkewPoly, sum_rank_weight
 
 
@@ -278,6 +279,56 @@ def test_example_min_distance(example_code):
 def test_distance_guard(example_code):
     with pytest.raises(TooLargeError):
         tlrs.min_sum_rank_distance(example_code, max_enumeration=10)
+
+
+def _per_word_min_sum_rank_distance(code):
+    """Reference: every nonzero message's codeword built as a SkewPoly,
+    reduced, evaluated and weighed on its own."""
+    params = code.params
+    ctx = params.ctx
+    tower = ctx.tower
+    best = None
+    for message in itertools.product(list(tower.top_elements()), repeat=params.k):
+        if not any(message):
+            continue
+        twist = params.eta * tower.frobenius(message[0], params.h)
+        f = SkewPoly(tower, list(message)) + SkewPoly.monomial(tower, twist, params.k)
+        w = sum_rank_weight(ctx.eval_map(f))
+        if best is None or w < best:
+            best = w
+    return best
+
+
+def test_min_sum_rank_distance_matches_per_word_reference():
+    """The Gray walk over precomputed block images agrees with the per-word
+    path on every class of the tlrs-certify benchmark (m = 2 and r = 3
+    included, k = 2 at (5,1,2)), plus a non-LCD twist eta^2 = -1 at
+    ell = 2 wherever L has one."""
+    rng = random.Random(59)
+    cases = 0
+    for shape, k, max_ell in (
+        ((5, 1, 2), 1, 4),
+        ((5, 1, 2), 2, 2),
+        ((3, 2, 2), 1, 4),
+        ((13, 1, 2), 1, 4),
+        ((5, 1, 3), 1, 4),
+        ((7, 1, 3), 1, 3),
+    ):
+        tower = FieldTower(*shape)
+        units = list(tower.top_units())
+        non_lcd = [e for e in units if not tower.top_one() + e * e]
+        for ell in range(1, max_ell + 1):
+            if (tower.q - 1) % ell or k > ell * tower.r - 1:
+                continue
+            ctx = QuotientCtx.build(tower, ell)
+            etas = [rng.choice(units)] + (non_lcd[:1] if ell == 2 else [])
+            for eta in etas:
+                params = tlrs.TlrsParams(ctx, k, rng.randrange(tower.r), eta)
+                code = tlrs.build_code(params)
+                expected = _per_word_min_sum_rank_distance(code)
+                assert tlrs.min_sum_rank_distance(code) == expected, (shape, k, ell, str(eta))
+                cases += 1
+    assert cases == 17 + 5  # 17 classes; (7,1,3) has no eta with eta^2 = -1
 
 
 def test_cubic_extension_equivalence():
