@@ -225,7 +225,7 @@ def encode(params: AcdParams, message) -> list:
     out = [tower.top_zero()] * params.ell
     for coef, row in zip(message, params._generator.entries):
         if coef:
-            out = [acc + tower.scale(coef, g) for acc, g in zip(out, row)]
+            out = [acc + tower.top(coef) * g for acc, g in zip(out, row)]
     return out
 
 
@@ -482,30 +482,15 @@ def min_distance_oracle(
     params: AcdParams, max_enumeration: int = DEFAULT_MAX_ENUMERATION
 ) -> int:
     """Exhaustive minimum Hamming weight over all q^(2k) - 1 nonzero
-    codewords."""
+    codewords: ``linalg.min_weight`` walks the F_p-combinations of the
+    F_p-basis words omega^s * g (g a generator row, omega^s in the F_p-basis
+    of F_q)."""
     tower = params.tower
-    size = tower.q ** (2 * params.k)
-    if size > max_enumeration:
-        raise TooLargeError(
-            f"enumerating {size} codewords exceeds the guard {max_enumeration}"
-        )
-    rows = list(params._generator.entries)
-    zero = tower.top_zero()
-    best = None
-    mids = list(tower.mid_elements())
-    for message in itertools.product(mids, repeat=2 * params.k):
-        if not any(message):
-            continue
-        word = [zero] * params.ell
-        for coef, row in zip(message, rows):
-            if coef:
-                word = [acc + tower.scale(coef, g) for acc, g in zip(word, row)]
-        w = sum(1 for c in word if c)
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    words = [[tower.top(w) * g for g in row]
+             for row in params._generator.entries for w in tower.mid_basis()]
+    return linalg.min_weight(
+        words, tower.p, lambda word: sum(1 for c in word if c), max_enumeration
+    )
 
 
 @dataclass(frozen=True)
@@ -548,9 +533,9 @@ def root_product_check(params: AcdParams, roots, a_k) -> RootProductResult:
     if exists:
         coeffs = [params.twist_scalar * tower.top(a_k)]
         for r in roots:
-            nxt = [-tower.scale(r, coeffs[0])]
+            nxt = [-(tower.top(r) * coeffs[0])]
             for i in range(1, len(coeffs)):
-                nxt.append(coeffs[i - 1] - tower.scale(r, coeffs[i]))
+                nxt.append(coeffs[i - 1] - tower.top(r) * coeffs[i])
             nxt.append(coeffs[-1])
             coeffs = nxt
         member = tuple(coeffs)

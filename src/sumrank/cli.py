@@ -28,7 +28,7 @@ from .errors import (
     SumRankError,
     TooLargeError,
 )
-from .fields import FieldTower
+from .fields import FieldTower, split_items
 from .skew import QuotientCtx
 
 ENV_MAX_ENUM = "SUMRANK_MAX_ENUM"
@@ -161,23 +161,9 @@ def cmd_tlrs_sweep(args) -> int:
     return 1 if mismatches else 0
 
 
-def _parse_lambda_set(tower, text):
-    """Points split on the commas outside [..] coordinate lists."""
-    tokens = []
-    for part in text.split(","):
-        if tokens and tokens[-1].count("[") > tokens[-1].count("]"):
-            tokens[-1] += "," + part
-        else:
-            tokens.append(part)
-    for tok in tokens:
-        if tok.count("[") != tok.count("]"):
-            raise BadParamsError(f"unbalanced brackets in --lambda token {tok.strip()!r}")
-    return [tower.parse_mid(tok) for tok in tokens if tok.strip()]
-
-
 def cmd_acd_build(args) -> int:
     tower = _tower(args, r=2)
-    lam = _parse_lambda_set(tower, args.lam)
+    lam = [tower.parse_mid(tok) for tok in split_items(args.lam) if tok.strip()]
     gamma = tower.parse_top(args.gamma) if args.gamma else None
     params = acd.AcdParams.make(tower, args.k, lam, gamma)
     max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, acd.DEFAULT_MAX_ENUMERATION)
@@ -351,24 +337,19 @@ def _add_field_args(sub, with_r=True):
         sub.add_argument("--r", type=int, default=2, help="degree of L over F_q")
 
 
-def _add_common(sub):
+_GUARD_HELP = {
+    "--max-enum": f"codeword enumeration guard (env {ENV_MAX_ENUM})",
+    "--max-hull": f"hull ambient-dimension guard (env {ENV_MAX_HULL})",
+}
+
+
+def _add_common(sub, *guards):
+    """--format, plus the guard options the subcommand reads."""
     sub.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
-    sub.add_argument(
-        "--max-enum",
-        dest="max_enum",
-        type=int,
-        default=None,
-        help=f"codeword enumeration guard (env {ENV_MAX_ENUM})",
-    )
-    sub.add_argument(
-        "--max-hull",
-        dest="max_hull",
-        type=int,
-        default=None,
-        help=f"hull ambient-dimension guard (env {ENV_MAX_HULL})",
-    )
+    for flag in guards:
+        sub.add_argument(flag, type=int, default=None, help=_GUARD_HELP[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--with-distance", action="store_true", help="measure the sum-rank distance"
     )
-    _add_common(s)
+    _add_common(s, "--max-enum")
     s.set_defaults(func=cmd_tlrs_build)
 
     s = subs.add_parser(
@@ -418,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--no-oracle", action="store_true")
     s.add_argument("--with-distance", action="store_true")
-    _add_common(s)
+    _add_common(s, "--max-enum", "--max-hull")
     s.set_defaults(func=cmd_acd_build)
 
     s = subs.add_parser(
@@ -431,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("auto", "geometric", "exhaustive"), default="auto"
     )
     s.add_argument("--with-distance", action="store_true")
-    _add_common(s)
+    _add_common(s, "--max-enum", "--max-hull")
     s.set_defaults(func=cmd_acd_search)
 
     s = subs.add_parser(
@@ -441,14 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--count", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--max-ell", dest="max_ell", type=int, default=8)
-    _add_common(s)
+    _add_common(s, "--max-hull")
     s.set_defaults(func=cmd_acd_sweep)
 
     s = subs.add_parser(
         "verify-paper-examples",
         help="re-run the bundled worked examples and verify every value",
     )
-    _add_common(s)
     s.set_defaults(func=cmd_verify_examples)
 
     return parser

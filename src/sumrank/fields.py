@@ -209,6 +209,29 @@ def _parse_int(token: str, text: str) -> int:
         ) from None
 
 
+def split_items(text: str) -> list:
+    """Split ``text`` on the commas outside [..] brackets; a token whose
+    brackets do not balance raises ValueError naming it."""
+    tokens = []
+    for part in text.split(","):
+        if tokens and tokens[-1].count("[") > tokens[-1].count("]"):
+            tokens[-1] += "," + part
+        else:
+            tokens.append(part)
+    for tok in tokens:
+        if tok.count("[") != tok.count("]"):
+            raise ValueError(f"unbalanced brackets in {tok.strip()!r}")
+    return tokens
+
+
+def _list_items(text: str) -> list:
+    """The items of a '[a,b,..]' list."""
+    if not text.endswith("]"):
+        raise ValueError(f"cannot parse field element {text!r}: a list must end with ']'")
+    body = text[1:-1]
+    return split_items(body) if body.strip() else []
+
+
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
@@ -564,13 +587,9 @@ class FieldTower:
     def top_one(self) -> Elem:
         return self.one(TOP)
 
-    def scale(self, c: Elem, x: Elem) -> Elem:
-        """Action of c in F_q on x in L, cheaper than embed-then-multiply."""
-        if c.level != MID or x.level != TOP:
-            raise LevelMismatchError("scale expects (mid, top)")
-        return Elem(
-            self, TOP, tuple(self._mid_mul(c.coords, part) for part in x.coords)
-        )
+    def mid_basis(self) -> list:
+        """The F_p-basis 1, y, .., y^(m-1) of F_q."""
+        return [self.mid([int(i == s) for i in range(self.m)]) for s in range(self.m)]
 
     def as_mid(self, x: Elem) -> Elem:
         """Project a top element known to lie in F_q down to a mid element."""
@@ -755,22 +774,21 @@ class FieldTower:
     def parse_mid(self, text: str) -> Elem:
         text = text.strip()
         if text.startswith("["):
-            body = text.strip("[]")
-            coords = [_parse_int(t, text) for t in body.split(",")] if body else []
+            coords = [_parse_int(t, text) for t in _list_items(text)]
             return self.mid(coords + [0] * (self.m - len(coords)))
         return self.mid(_parse_int(text, text))
 
     def parse_top(self, text: str) -> Elem:
         """Parse 'c0+c1u' / 'c0+c1u+c2u^2' / '[c0,c1]' / '3u' / 'u' forms.
 
-        Coefficient syntax assumes m = 1 (prime mid field), which covers the
-        command-line surface; for m > 1 pass coordinate lists instead.
+        Coefficient syntax assumes m = 1 (prime mid field); for m > 1 pass a
+        list whose items are F_q elements in :meth:`parse_mid` syntax, as
+        in '[[1,2],[2,1]]' (a bare integer item c is the image of c).
         """
         text = text.strip().replace(" ", "")
         if text.startswith("["):
-            body = text.strip("[]")
-            coords = [_parse_int(t, text) for t in body.split(",")] if body else []
-            return self.top(coords + [0] * (self.r - len(coords)))
+            parts = [self.parse_mid(t) for t in _list_items(text)]
+            return self.top(parts + [self.mid_zero()] * (self.r - len(parts)))
         if self.m != 1:
             raise ValueError("textual element syntax requires m = 1; use [..] lists")
         coords = [0] * self.r

@@ -15,6 +15,7 @@ from .errors import (
     AmbientMismatchError,
     NotSquareError,
     SingularLeadingBlockError,
+    TooLargeError,
 )
 from .fields import Elem, FieldTower
 
@@ -226,6 +227,28 @@ def det(m: Mat) -> Elem:
 def rank(m: Mat) -> int:
     """Rank of m: the pivot count of its elimination, no kernel built."""
     return len(_row_reduce(m)[1])
+
+
+def min_weight(words, p: int, weight, max_enumeration: int) -> int:
+    """Least ``weight`` over the nonzero F_p-combinations of ``words``, walked
+    in modular p-ary Gray order from words[0]: step t adds word v_p(t)
+    entrywise, one addition per entry.  Stops early at weight 1."""
+    size = p ** len(words)
+    if size > max_enumeration:
+        raise TooLargeError(
+            f"enumerating {size} codewords exceeds the guard {max_enumeration}"
+        )
+    word = words[0]
+    best = weight(word)
+    for step in range(2, size):
+        if best == 1:
+            break
+        digit, t = 0, step
+        while t % p == 0:
+            t, digit = t // p, digit + 1
+        word = [a + b for a, b in zip(word, words[digit])]
+        best = min(best, weight(word))
+    return best
 
 
 def rank_kernel(m: Mat) -> tuple[int, Subspace]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .errors import BadParamsError, TooLargeError
+from .errors import BadParamsError
 from .fields import MID, TOP, Elem, FieldTower
 from .linalg import Mat, Subspace
 from .skew import QuotientCtx, SkewPoly
@@ -282,35 +282,18 @@ def min_sum_rank_distance(
 
     Evaluation is F_q-linear, so the ell block matrices of each F_p-basis
     word omega^s * b (b in the code basis, omega^s in the F_p-basis of F_q)
-    are built once; a modular p-ary Gray walk then adds those of basis word
-    v_p(t) at step t, and a word's weight is the sum of its blocks' ranks.
+    are built once; ``linalg.min_weight`` walks their F_p-combinations, and
+    a word's weight is the sum of its blocks' ranks.
     Reported for context against the bound ell*r - k + 1; no optimality
     claim is attached to the measured value.
     """
-    params = code.params
-    ctx = params.ctx
+    ctx = code.params.ctx
     tower = ctx.tower
-    size = tower.top_order**params.k
-    if size > max_enumeration:
-        raise TooLargeError(
-            f"enumerating {size} codewords exceeds the guard {max_enumeration}"
-        )
-    omegas = [tower.mid([int(i == s) for i in range(tower.m)]) for s in range(tower.m)]
     images = [[t.matrix() for t in ctx.eval_map(SkewPoly(tower, [w]) * b)]
-              for b in code.basis_polys for w in omegas]
-    blocks = [Mat.zeros(tower, MID, tower.r, tower.r) for _ in range(ctx.ell)]
-    best = None
-    for step in range(1, size):
-        digit, t = 0, step
-        while t % tower.p == 0:
-            t, digit = t // tower.p, digit + 1
-        blocks = [a + b for a, b in zip(blocks, images[digit])]
-        w = sum(linalg.rank(blk) for blk in blocks)
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+              for b in code.basis_polys for w in tower.mid_basis()]
+    return linalg.min_weight(
+        images, tower.p, lambda blocks: sum(linalg.rank(b) for b in blocks), max_enumeration
+    )
 
 
 def sum_rank_singleton_bound(params: TlrsParams) -> int:

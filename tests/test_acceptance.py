@@ -146,7 +146,7 @@ def test_c05_trace_table_verification(f25s, f169s):
                 for _ in range(2):
                     lam = rng.sample(units, ell)
                     c = units[rng.randrange(len(units))]
-                    gamma = tower.scale(c, alpha)  # Tr(gamma) = 0
+                    gamma = tower.top(c) * alpha  # Tr(gamma) = 0
                     params = acd.AcdParams.make(tower, k, lam, gamma)
                     assert not tower.trace(gamma)
                     exp_gg, exp_t = acd.closed_form_tables(params)
@@ -164,7 +164,7 @@ def _random_admissible_params(tower, rng, trace_zero: bool):
     alpha = tower.skew_unit()
     if trace_zero:
         c = units[rng.randrange(len(units))]
-        gamma = tower.scale(c, alpha)
+        gamma = tower.top(c) * alpha
     else:
         gamma = alpha
         while True:

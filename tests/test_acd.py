@@ -136,7 +136,7 @@ def test_t_matrix_corner_entries(f169):
         ell = rng.randint(3, 7)
         k = rng.randint(1, min(3, ell - 1))
         c = units[rng.randrange(len(units))]
-        gamma = f169.scale(c, alpha)  # trace-zero twist
+        gamma = f169.top(c) * alpha  # trace-zero twist
         params = acd.AcdParams.make(f169, k, rng.sample(units, ell), gamma)
         ps = acd.power_sums(f169, params.lambda_set, 2 * k)
         t = acd.t_matrix(params)
@@ -158,7 +158,7 @@ def test_t_matrix_matches_closed_forms(f25, f169):
             k = rng.randint(1, min(3, ell - 1))
             c = units[rng.randrange(len(units))]
             params = acd.AcdParams.make(
-                tower, k, rng.sample(units, ell), tower.scale(c, alpha)
+                tower, k, rng.sample(units, ell), tower.top(c) * alpha
             )
             exp_gg, exp_t = acd.closed_form_tables(params)
             assert acd.gg_dagger(params) == exp_gg
@@ -288,8 +288,51 @@ def test_min_distance_square_twist_measured(f25):
 
 
 def test_min_distance_guard(good25):
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match=r"^enumerating 25 codewords exceeds the guard 3$"):
         acd.min_distance_oracle(good25, max_enumeration=3)
+
+
+def _per_message_min_distance(params):
+    """Reference: every nonzero message encoded on its own and weighed."""
+    best = None
+    mids = list(params.tower.mid_elements())
+    for message in itertools.product(mids, repeat=2 * params.k):
+        if any(message):
+            w = sum(1 for c in acd.encode(params, message) if c)
+            best = w if best is None else min(best, w)
+    return best
+
+
+def test_min_distance_matches_per_message_reference(f25, f81, f169):
+    """The Gray walk agrees with encoding every message on its own, on every
+    class of the acd-distance benchmark with a random twist, plus one
+    square-norm twist per tower, where mds_criterion is false."""
+    from sumrank.fields import FieldTower
+
+    rng = random.Random(71)
+    below_bound = 0
+    for tower, k, ells in (
+        (f25, 2, range(3, 5)),
+        (f81, 1, range(2, 9)),
+        (f169, 1, range(2, 9)),
+        (FieldTower(17, 1, 2), 1, range(2, 9)),
+    ):
+        units = list(tower.mid_units())
+        tops = list(tower.top_units())
+        square = [g for g in tops if tower.is_square(tower.norm(g))]
+        cases = [(ell, rng.choice(tops)) for ell in ells]
+        cases.append((rng.choice(ells), rng.choice(square)))
+        for ell, gamma in cases:
+            params = acd.AcdParams.make(tower, k, rng.sample(units, ell), gamma)
+            d = acd.min_distance_oracle(params)
+            assert d == _per_message_min_distance(params), (tower, ell, str(gamma))
+            below_bound += d < ell - k + 1
+        assert not acd.mds_criterion(params)  # the square-norm case, run last
+    assert below_bound
+    # gamma = 1 with no point in F_3: the words of weight ell - 1 need
+    # coefficients outside F_p, which only the omega^s multiples reach
+    params = acd.AcdParams.make(f81, 1, [[1, 2], [2, 1], [2, 2]], f81.top_one())
+    assert acd.min_distance_oracle(params) == _per_message_min_distance(params) == 2
 
 
 # ---------------------------------------------------------------- root products

@@ -159,18 +159,35 @@ def test_bad_input_names_the_input(capsys, monkeypatch):
         ),
         ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,x"], "'x'"),
         ({}, EXAMPLE_BUILD[:-1] + ["2+1v"], "'1v'"),
+        ({}, ["tlrs-sweep", "--p", "5", "--ell", "3"], "ell = 3"),
+        ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3",
+              "--max-hull", "2"], "exceeds guard 2", 3),
+        ({}, ["acd-search", "--p", "5", "--k", "1", "--ell", "3",
+              "--max-hull", "2"], "exceeds guard 2", 3),
+        # options no handler reads are argparse errors
+        ({}, EXAMPLE_BUILD + ["--max-hull", "64"], "--max-hull"),
+        ({}, ["tlrs-sweep", "--p", "5", "--ell", "2", "--max-enum", "9"], "--max-enum"),
+        ({}, ["tlrs-sweep", "--p", "5", "--ell", "2", "--max-hull", "64"], "--max-hull"),
+        ({}, ["acd-sweep", "--p", "5", "--max-enum", "9"], "--max-enum"),
+        ({}, ["verify-paper-examples", "--format", "json"], "--format"),
+        ({}, ["verify-paper-examples", "--max-enum", "9"], "--max-enum"),
+        ({}, ["verify-paper-examples", "--max-hull", "64"], "--max-hull"),
     ]
-    for env, argv, named in cases:
+    for env, argv, named, *exit_code in cases:
         monkeypatch.delenv("SUMRANK_MAX_HULL", raising=False)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
         captured = capsys.readouterr()
-        assert code == 2, argv
+        assert code == (exit_code or [2])[0], argv
         assert captured.out == "", argv
         assert named in captured.err, (argv, captured.err)
         assert "randrange" not in captured.err, argv
         assert "int()" not in captured.err, argv
+        assert "Traceback" not in captured.err, argv
 
 
 def test_pinned_corpus_byte_identical(capsys, monkeypatch):
@@ -205,6 +222,23 @@ def test_lambda_points_may_be_coordinate_lists(capsys):
         assert code == 2, text
         assert captured.out == "", text
         assert token in captured.err, (text, captured.err)
+
+
+def test_twist_coordinates_may_be_nested_lists(capsys):
+    """For m > 1 a twist is a list of F_q elements, each in --lambda's list
+    syntax; an unclosed inner list is an error that names its token."""
+    base = ["acd-build", "--p", "3", "--m", "2", "--k", "1",
+            "--lambda", "[1,2],[2,1],[2,2]", "--with-distance", "--format", "json"]
+    code, out = run_cli(capsys, base + ["--gamma", "[[2,2],[2,1]]"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["gamma"] == "(2+2y)+(2+1y)u"
+    assert (record["hull_dim"], record["min_distance"]) == (0, 3)
+    code = main(base + ["--gamma", "[[2,2],[2,1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'[2,1'" in captured.err
 
 
 def test_search_with_tripped_distance_guard_builds_report_once(capsys, monkeypatch):

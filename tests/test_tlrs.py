@@ -277,7 +277,7 @@ def test_example_min_distance(example_code):
 
 
 def test_distance_guard(example_code):
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match=r"^enumerating 25 codewords exceeds the guard 10$"):
         tlrs.min_sum_rank_distance(example_code, max_enumeration=10)
 
 
