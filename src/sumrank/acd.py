@@ -16,7 +16,8 @@ Certification is double-routed throughout:
 * distance: if N(gamma) = gamma^(q+1) is a nonsquare in F_q, no codeword
   with full twist can vanish at k points, which forces minimum distance
   ell - k + 1 (the Singleton bound for F_q-dimension 2k).  The oracle
-  enumerates all q^(2k) - 1 nonzero codewords and measures it.
+  walks the q^(2k) - 1 nonzero codewords, stopping at the first of the
+  proven least weight ell - k, and measures it.
 
 Everything assumes q = 1 mod 4 and q >= 5, odd characteristic.
 """
@@ -481,15 +482,21 @@ def mds_criterion(params: AcdParams) -> bool:
 def min_distance_oracle(
     params: AcdParams, max_enumeration: int = DEFAULT_MAX_ENUMERATION
 ) -> int:
-    """Exhaustive minimum Hamming weight over all q^(2k) - 1 nonzero
-    codewords: ``linalg.min_weight`` walks the F_p-combinations of the
-    F_p-basis words omega^s * g (g a generator row, omega^s in the F_p-basis
-    of F_q)."""
+    """Minimum Hamming weight over all q^(2k) - 1 nonzero codewords:
+    ``linalg.min_weight`` walks the F_p-combinations of the F_p-basis words
+    omega^s * g (g a generator row, omega^s in the F_p-basis of F_q).  A
+    codeword evaluates a nonzero polynomial of degree <= k at ell distinct
+    points, so it weighs at least ell - k, and the walk stops at the first
+    word that does."""
     tower = params.tower
     words = [[tower.top(w) * g for g in row]
              for row in params._generator.entries for w in tower.mid_basis()]
     return linalg.min_weight(
-        words, tower.p, lambda word: sum(1 for c in word if c), max_enumeration
+        words,
+        tower.p,
+        lambda word: sum(1 for c in word if c),
+        max_enumeration,
+        floor=max(1, params.ell - params.k),
     )
 
 

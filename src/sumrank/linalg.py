@@ -193,46 +193,70 @@ def _row_reduce(m: Mat):
     return rows[:rank], pivots
 
 
-def det(m: Mat) -> Elem:
-    """Determinant by elimination; multiplicative over block-triangular splits."""
-    if m.rows != m.cols:
-        raise NotSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    one = m.tower.one(m.level)
-    if n == 0:
-        return one
+def _echelon(m: Mat):
+    """Forward elimination to row-echelon form with no pivot inverse: a row
+    below pivot row P whose entry in the pivot column is f becomes
+    pivot * row - f * P.  Yields, for each column in turn, None when it has
+    no pivot, else (pivot, swapped, scaled) with ``scaled`` the number of
+    rows multiplied by the pivot.  Stops once every row holds a pivot."""
     rows = [list(r) for r in m.entries]
-    acc = one
-    for col in range(n):
+    nrows = m.rows
+    rank = 0
+    for col in range(m.cols):
+        if rank == nrows:
+            return
         pivot_row = None
-        for i in range(col, n):
+        for i in range(rank, nrows):
             if rows[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
+            yield None
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank]
+        pv = pivot[col]
+        scaled = 0
+        for i in range(rank + 1, nrows):
+            f = rows[i][col]
+            if f:
+                # entries left of col + 1 are never read again
+                rows[i][col + 1:] = [
+                    pv * x - f * y for x, y in zip(rows[i][col + 1:], pivot[col + 1:])
+                ]
+                scaled += 1
+        yield pv, pivot_row != rank, scaled
+        rank += 1
+
+
+def det(m: Mat) -> Elem:
+    """Determinant: the signed pivot product of the echelon form, divided
+    by the pivot powers the elimination scaled rows with."""
+    if m.rows != m.cols:
+        raise NotSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
+    one = m.tower.one(m.level)
+    acc, scale = one, one
+    for step in _echelon(m):
+        if step is None:
             return m.tower.zero(m.level)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            acc = -acc
-        pivot = rows[col][col]
-        acc = acc * pivot
-        inv = one / pivot
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return acc
+        pivot, swapped, scaled = step
+        acc = -(acc * pivot) if swapped else acc * pivot
+        if scaled:
+            scale = scale * pivot ** scaled
+    return acc / scale
 
 
 def rank(m: Mat) -> int:
-    """Rank of m: the pivot count of its elimination, no kernel built."""
-    return len(_row_reduce(m)[1])
+    """Rank of m: the pivot count of its echelon form, no kernel built."""
+    return sum(1 for step in _echelon(m) if step is not None)
 
 
-def min_weight(words, p: int, weight, max_enumeration: int) -> int:
+def min_weight(words, p: int, weight, max_enumeration: int, floor: int = 1) -> int:
     """Least ``weight`` over the nonzero F_p-combinations of ``words``, walked
     in modular p-ary Gray order from words[0]: step t adds word v_p(t)
-    entrywise, one addition per entry.  Stops early at weight 1."""
+    entrywise, one addition per entry.  ``floor`` is a proven lower bound on
+    that least weight (1 for any nonzero word), so the walk stops at the
+    first word whose weight reaches it."""
     size = p ** len(words)
     if size > max_enumeration:
         raise TooLargeError(
@@ -241,7 +265,7 @@ def min_weight(words, p: int, weight, max_enumeration: int) -> int:
     word = words[0]
     best = weight(word)
     for step in range(2, size):
-        if best == 1:
+        if best <= floor:
             break
         digit, t = 0, step
         while t % p == 0:

@@ -1,5 +1,6 @@
 import pytest
 
+from sumrank import linalg
 from sumrank.fields import FieldTower
 
 
@@ -24,3 +25,26 @@ def f81():
 def f2401():
     """p=7, m=2 (q=49), for the square-table agreement sweep."""
     return FieldTower(7, 2, 2)
+
+
+@pytest.fixture
+def floor_and_full_walk(monkeypatch):
+    """Run a distance oracle while recording the floor it hands to
+    ``linalg.min_weight``; the same words are also walked with floor 1.
+    Returns (oracle result, floor, full-walk result)."""
+    real = linalg.min_weight
+
+    def run(oracle, *args):
+        seen = []
+
+        def spy(words, p, weight, max_enumeration, floor=1):
+            seen.append((floor, real(words, p, weight, max_enumeration)))
+            return real(words, p, weight, max_enumeration, floor)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "min_weight", spy)
+            d = oracle(*args)
+        [(floor, full)] = seen
+        return d, floor, full
+
+    return run

@@ -335,6 +335,33 @@ def test_min_distance_matches_per_message_reference(f25, f81, f169):
     assert acd.min_distance_oracle(params) == _per_message_min_distance(params) == 2
 
 
+def test_min_distance_floor_walk(f25, f81, f169, floor_and_full_walk):
+    """gamma in F_q makes gamma * prod(x - s) over k points a codeword, so
+    d = ell - k, the floor the oracle hands the walk.  On every acd-distance
+    class with such twists, and the q = 9, gamma = 1 case, the walk stops
+    there with the same answer as the full walk."""
+    from sumrank.fields import FieldTower
+
+    rng = random.Random(72)
+    cases = [(f81, 1, ((1, 2), (2, 1), (2, 2)), f81.top_one())]
+    for tower, k, ells in (
+        (f25, 2, range(3, 5)),
+        (f81, 1, range(2, 9)),
+        (f169, 1, range(2, 9)),
+        (FieldTower(17, 1, 2), 1, range(2, 9)),
+    ):
+        units = list(tower.mid_units())
+        for ell in ells:
+            gamma = tower.top(rng.choice(units))
+            cases.append((tower, k, rng.sample(units, ell), gamma))
+    for tower, k, lams, gamma in cases:
+        params = acd.AcdParams.make(tower, k, lams, gamma)
+        d, floor, full = floor_and_full_walk(acd.min_distance_oracle, params)
+        case = (tower, k, [str(x) for x in params.lambda_set], str(gamma))
+        assert floor == params.ell - k, case
+        assert d == full == params.ell - k, case
+
+
 # ---------------------------------------------------------------- root products
 
 

@@ -1,16 +1,20 @@
 """Exact linear algebra: determinants, kernels, intersections, Schur residuals."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumrank import linalg
 from sumrank.errors import (
     AmbientMismatchError,
     NotSquareError,
     SingularLeadingBlockError,
+    TooLargeError,
 )
-from sumrank.fields import MID
+from sumrank.fields import MID, TOP
 from sumrank.linalg import Mat, Subspace
 
 
@@ -94,6 +98,124 @@ def test_rank_nullity_random(f169):
                 for a, b in zip(mrow, krow):
                     acc = acc + a * b
                 assert not acc
+
+
+def _leibniz_det(m):
+    """Sum over permutations of sign * product: no elimination at all."""
+    tower, n = m.tower, m.rows
+    acc = tower.zero(m.level)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = tower.one(m.level)
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+@pytest.mark.parametrize("level", [MID, TOP])
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (4, 4)])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rank_matches_rref_rank(f81, level, shape, data):
+    """The echelon pivot count equals the RREF rank of rank_kernel, with
+    rank + kernel dimension = cols, at both levels of q = 9 (m = 2), on rows
+    drawn at random, zero, or repeating an earlier row.  On square shapes
+    det is nonzero exactly at full rank and equals the Leibniz sum."""
+    tower = f81
+    width = tower.m * (tower.r if level == TOP else 1)
+    digits = st.lists(st.integers(0, tower.p - 1), min_size=width, max_size=width)
+
+    def elem():
+        d = data.draw(digits)
+        if level == MID:
+            return tower.mid(d)
+        return tower.top([d[i * tower.m:(i + 1) * tower.m] for i in range(tower.r)])
+
+    rows_n, cols = shape
+    rows = []
+    for _ in range(rows_n):
+        kind = data.draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([tower.zero(level)] * cols)
+        elif kind == "repeat" and rows:
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        else:
+            rows.append([elem() for _ in range(cols)])
+    m = Mat.from_rows(rows, tower=tower, level=level, cols=cols)
+    rank, ker = linalg.rank_kernel(m)
+    assert linalg.rank(m) == rank == linalg.rank(m.transpose())
+    assert rank + ker.dim == cols
+    if rows_n == cols:
+        det = linalg.det(m)
+        assert bool(det) == (rank == cols)
+        assert det == _leibniz_det(m)
+
+
+# ---------------------------------------------------------------- distance walk
+
+
+def _hamming(word):
+    return sum(1 for c in word if c)
+
+
+def _counting(weight):
+    """A weight function that also records every weight it returns."""
+    calls = []
+
+    def counted(word):
+        calls.append(weight(word))
+        return calls[-1]
+
+    return counted, calls
+
+
+def _words(tower, rows):
+    return [[tower.mid(v) for v in row] for row in rows]
+
+
+def test_min_weight_stops_at_floor(f25):
+    """The walk stops at the first word whose weight reaches the floor; with
+    floor 0, which no nonzero word reaches, it weighs all 124 words."""
+    words = _words(f25, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 4]])
+    counted, walk = _counting(_hamming)
+    full = linalg.min_weight(words, 5, counted, 125, floor=0)
+    assert len(walk) == 124 and full == min(walk) == 1
+    for floor in range(1, 5):
+        counted, calls = _counting(_hamming)
+        got = linalg.min_weight(words, 5, counted, 125, floor=floor)
+        stop = next((i for i, w in enumerate(walk) if w <= floor), len(walk) - 1)
+        assert calls == walk[: stop + 1], floor
+        assert got == min(calls), floor
+    assert len(calls) == 1  # floor 4: the first word already weighs 4
+
+
+def test_min_weight_guard_precedes_walk(f25):
+    words = _words(f25, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 4]])
+    counted, calls = _counting(_hamming)
+    with pytest.raises(TooLargeError, match=r"^enumerating 125 codewords exceeds the guard 124$"):
+        linalg.min_weight(words, 5, counted, 124, floor=4)
+    assert calls == []
+
+
+def test_min_weight_floor_one_is_the_least_weight(f25, f81):
+    """Floor 1, the default, returns the least weight over every nonzero
+    combination, enumerated here coefficient vector by coefficient vector."""
+    rng = random.Random(25)
+    for tower in (f25, f81):
+        mids = list(tower.mid_elements())
+        for n in (1, 2, 3):
+            for _ in range(4):
+                words = [[rng.choice(mids) for _ in range(4)] for _ in range(n)]
+                expected = min(
+                    _hamming([sum((tower.mid(c) * w[j] for c, w in zip(coef, words)),
+                                  tower.mid_zero()) for j in range(4)])
+                    for coef in itertools.product(range(tower.p), repeat=n)
+                    if any(coef)
+                )
+                size = tower.p ** n
+                assert linalg.min_weight(words, tower.p, _hamming, size) == expected
+                assert linalg.min_weight(words, tower.p, _hamming, size, floor=1) == expected
 
 
 # ---------------------------------------------------------------- intersection

@@ -283,7 +283,8 @@ def test_distance_guard(example_code):
 
 def _per_word_min_sum_rank_distance(code):
     """Reference: every nonzero message's codeword built as a SkewPoly,
-    reduced, evaluated and weighed on its own."""
+    reduced, evaluated and weighed on its own, each block ranked through
+    the RREF of ``rank_kernel`` rather than the oracle's ``linalg.rank``."""
     params = code.params
     ctx = params.ctx
     tower = ctx.tower
@@ -293,7 +294,7 @@ def _per_word_min_sum_rank_distance(code):
             continue
         twist = params.eta * tower.frobenius(message[0], params.h)
         f = SkewPoly(tower, list(message)) + SkewPoly.monomial(tower, twist, params.k)
-        w = sum_rank_weight(ctx.eval_map(f))
+        w = sum(linalg.rank_kernel(t.matrix())[0] for t in ctx.eval_map(f))
         if best is None or w < best:
             best = w
     return best
@@ -329,6 +330,62 @@ def test_min_sum_rank_distance_matches_per_word_reference():
                 assert tlrs.min_sum_rank_distance(code) == expected, (shape, k, ell, str(eta))
                 cases += 1
     assert cases == 17 + 5  # 17 classes; (7,1,3) has no eta with eta^2 = -1
+
+
+def test_min_sum_rank_distance_needs_the_fq_span():
+    """At q = 9 this code reaches its floor N - k = 2 only with coefficients
+    outside F_3: a walk over the F_3-span of the code basis (the omega^0
+    words alone) never gets below 4."""
+    tower = FieldTower(3, 2, 2)
+    ctx = QuotientCtx.build(tower, 2)
+    params = tlrs.TlrsParams(ctx, 2, 0, tower.top([[1, 2], [1, 0]]))
+    code = tlrs.build_code(params)
+    assert tlrs.min_sum_rank_distance(code) == _per_word_min_sum_rank_distance(code) == 2
+    fp_span = [[t.matrix() for t in ctx.eval_map(b)] for b in code.basis_polys]
+    weight = lambda blocks: sum(linalg.rank(b) for b in blocks)
+    assert linalg.min_weight(fp_span, tower.p, weight, 10**6) == 4
+
+
+def test_sum_rank_distance_sandwich(floor_and_full_walk):
+    """On every tlrs-certify class, with a random twist, an eta^2 = -1
+    twist where L has one and an h = 0 twist: the oracle hands the walk the
+    floor N - k, stops with the same answer as the full walk, and that
+    answer lies in N - k <= d <= N - k + 1 (N = ell*r).  At k = 1 the first
+    word of the walk had the least weight in every code tried, which would
+    hide a floor one too high, so k = 3 at q = 5 joins: there most walks
+    meet a word of weight N - k + 1 before one of weight N - k."""
+    rng = random.Random(60)
+    seen = set()
+    for shape, k, max_ell in (
+        ((5, 1, 2), 1, 4),
+        ((5, 1, 2), 2, 2),
+        ((3, 2, 2), 1, 4),
+        ((13, 1, 2), 1, 4),
+        ((5, 1, 3), 1, 4),
+        ((7, 1, 3), 1, 3),
+        ((5, 1, 2), 3, 4),
+    ):
+        tower = FieldTower(*shape)
+        units = list(tower.top_units())
+        non_lcd = [e for e in units if not tower.top_one() + e * e]
+        for ell in range(1, max_ell + 1):
+            if (tower.q - 1) % ell or k > ell * tower.r - 1:
+                continue
+            ctx = QuotientCtx.build(tower, ell)
+            n = ell * tower.r
+            twists = [(rng.randrange(tower.r), rng.choice(units)), (0, rng.choice(units))]
+            twists += [(rng.randrange(tower.r), eta) for eta in non_lcd[:1]]
+            for h, eta in twists:
+                params = tlrs.TlrsParams(ctx, k, h, eta)
+                d, floor, full = floor_and_full_walk(
+                    tlrs.min_sum_rank_distance, tlrs.build_code(params)
+                )
+                case = (shape, k, ell, h, str(eta))
+                assert floor == tlrs.sum_rank_distance_floor(params) == n - k, case
+                assert d == full, case
+                assert n - k <= d <= n - k + 1 == tlrs.sum_rank_singleton_bound(params), case
+                seen.add(d - (n - k))
+    assert seen == {0, 1}  # both sides of the sandwich occur
 
 
 def test_cubic_extension_equivalence():
