@@ -7,7 +7,7 @@ and by independent brute-force oracles.
 """
 
 from .fields import MID, TOP, Elem, FieldTower
-from .linalg import Mat, Subspace, det, intersect, rank_kernel, schur_residual
+from .linalg import Mat, Subspace, det, meet_dim, rank_kernel, schur_residual
 from .skew import (
     QuotientCtx,
     SkewPoly,

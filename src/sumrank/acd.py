@@ -40,7 +40,7 @@ from .errors import (
     TooLargeError,
 )
 from .fields import MID, TOP, Elem, FieldTower
-from .linalg import Mat, Subspace
+from .linalg import Mat
 
 DEFAULT_MAX_ENUMERATION = 10**7
 DEFAULT_MAX_HULL = 64
@@ -444,9 +444,10 @@ def expanded_generator(params: AcdParams) -> Mat:
 
 
 def acd_oracle(params: AcdParams, max_hull: int = DEFAULT_MAX_HULL) -> int:
-    """Brute-force hull dimension: expand the code into F_q^(2 ell), build
+    """Brute-force hull dimension: expand the code into F_q^(2 ell), take
     the trace-Hermitian dual as the kernel of the pairing matrix against
-    the ambient basis, and intersect.  Zero means complementary-dual."""
+    the ambient basis, and count dim(C intersect C-perp) with
+    ``linalg.meet_dim``.  Zero means complementary-dual."""
     tower = params.tower
     ell = params.ell
     if 2 * ell > max_hull:
@@ -460,11 +461,7 @@ def acd_oracle(params: AcdParams, max_hull: int = DEFAULT_MAX_HULL) -> int:
             flat.append(tower.trace(-(alpha * c)))
         pairing_rows.append(flat)
     pairing = Mat.from_rows(pairing_rows, tower=tower, level=MID, cols=2 * ell)
-    _, dual = linalg.rank_kernel(pairing)
-    code_space = Subspace.from_generators(
-        expanded_generator(params).entries, tower, MID, 2 * ell
-    )
-    return linalg.intersect(code_space, dual).dim
+    return linalg.meet_dim(expanded_generator(params), pairing)
 
 
 # ---------------------------------------------------------------------------

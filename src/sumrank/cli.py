@@ -33,6 +33,9 @@ from .skew import QuotientCtx
 
 ENV_MAX_ENUM = "SUMRANK_MAX_ENUM"
 ENV_MAX_HULL = "SUMRANK_MAX_HULL"
+# tlrs-sweep builds and certifies one code per (k, h, eta); the bound still
+# admits the full q = 13, r = 2, ell = 12 sweep (7,728 reports)
+MAX_SWEEP_REPORTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +145,12 @@ def cmd_tlrs_sweep(args) -> int:
         range(1, ctx.modulus_degree) if args.k is None else [args.k]
     )
     h_values = range(tower.r) if args.h is None else [args.h]
+    planned = len(k_values) * len(h_values) * (tower.q ** tower.r - 1)
+    if planned > MAX_SWEEP_REPORTS:
+        raise TooLargeError(
+            f"the sweep plans {planned} reports, above the bound"
+            f" {MAX_SWEEP_REPORTS}; narrow it with --k or --h"
+        )
     emitter = Emitter(args.format)
     mismatches = 0
     for k in k_values:

@@ -30,7 +30,7 @@ class NotSquareError(SumRankError):
 
 
 class AmbientMismatchError(SumRankError):
-    """Subspaces live in different ambient dimensions."""
+    """Row spaces live in different ambient dimensions."""
 
 
 class SingularLeadingBlockError(SumRankError):

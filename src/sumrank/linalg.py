@@ -275,13 +275,13 @@ def min_weight(words, p: int, weight, max_enumeration: int, floor: int = 1) -> i
     return best
 
 
-def rank_kernel(m: Mat) -> tuple[int, Subspace]:
-    """Rank of m and a basis of its right kernel {v : m v^T = 0}."""
-    reduced, pivots = _row_reduce(m)
-    rank = len(pivots)
+def _kernel_rows(m: Mat, reduced, pivots) -> list[list[Elem]]:
+    """Basis of the right kernel of m read off its RREF (``reduced``,
+    ``pivots``): one row per free column, 1 there and the negated reduced
+    entries of that column at the pivot columns."""
     zero, one = m.tower.zero(m.level), m.tower.one(m.level)
     pivot_set = set(pivots)
-    kernel_rows = []
+    rows = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
@@ -289,50 +289,31 @@ def rank_kernel(m: Mat) -> tuple[int, Subspace]:
         v[free] = one
         for i, pcol in enumerate(pivots):
             v[pcol] = -reduced[i][free]
-        kernel_rows.append(v)
-    ker = Subspace.from_generators(kernel_rows, m.tower, m.level, m.cols)
-    return rank, ker
+        rows.append(v)
+    return rows
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two row spaces via the kernel of the stacked system.
+def rank_kernel(m: Mat) -> tuple[int, Subspace]:
+    """Rank of m and a basis of its right kernel {v : m v^T = 0}."""
+    reduced, pivots = _row_reduce(m)
+    kernel_rows = _kernel_rows(m, reduced, pivots)
+    return len(pivots), Subspace.from_generators(kernel_rows, m.tower, m.level, m.cols)
 
-    A vector lies in both spaces iff it is x A = -y B for some solution
-    (x, y) of x A + y B = 0, i.e. a kernel element of [A^T | B^T].
-    """
-    if a.ambient_dim != b.ambient_dim:
+
+def meet_dim(rows: Mat, pairing: Mat) -> int:
+    """dim(rowspace(rows) intersect K), K = {v : pairing v^T = 0}.
+
+    The kernel rows come from the one RREF of ``pairing`` and are
+    independent, so dim K is their count, and the dimension is
+    rank(rows) + dim K - rank [rows; K]."""
+    if rows.cols != pairing.cols:
         raise AmbientMismatchError(
-            f"ambient dims {a.ambient_dim} and {b.ambient_dim} differ"
+            f"ambient dims {rows.cols} and {pairing.cols} differ"
         )
-    tower, level = a.basis.tower, a.basis.level
-    n = a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.from_generators([], tower, level, n)
-    stacked = a.basis.stack(b.basis).transpose()  # n x (ka + kb)
-    _, ker = rank_kernel(stacked)
-    vectors = []
-    zero = tower.zero(level)
-    for krow in ker.basis.entries:
-        x = krow[: a.dim]
-        v = [zero] * n
-        for coef, arow in zip(x, a.basis.entries):
-            if coef:
-                v = [acc + coef * e for acc, e in zip(v, arow)]
-        vectors.append(v)
-    return Subspace.from_generators(vectors, tower, level, n)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatchError(
-            f"ambient dims {a.ambient_dim} and {b.ambient_dim} differ"
-        )
-    return Subspace.from_generators(
-        list(a.basis.entries) + list(b.basis.entries),
-        a.basis.tower,
-        a.basis.level,
-        a.ambient_dim,
-    )
+    reduced, pivots = _row_reduce(pairing)
+    kernel = _kernel_rows(pairing, reduced, pivots)
+    both = rows.stack(Mat(rows.tower, rows.level, len(kernel), rows.cols, kernel))
+    return rank(rows) + len(kernel) - rank(both)
 
 
 def solve(m: Mat, rhs) -> list[Elem]:

@@ -9,7 +9,9 @@ alpha = theta^(-h)(1 + eta^2).  Hence det G = det(M)^(k-1) * det(B), and
 the code meets its dual trivially exactly when 1 + eta^2 != 0 -- a
 criterion independent of k, h and the evaluation subgroup.  Everything
 here is certified twice: once through that closed form and once through a
-brute-force dual/intersection oracle that never touches the Gram matrix.
+brute-force hull oracle that never touches the Gram matrix.  The oracle
+counts dim(C intersect C-perp) as rank C + dim C-perp - rank [C; C-perp],
+with C-perp the kernel of the code's form values on the ambient basis.
 """
 
 from __future__ import annotations
@@ -247,11 +249,17 @@ def _form_matrix(ctx: QuotientCtx) -> Mat:
     return Mat.from_rows(rows, tower=tower, level=MID, cols=n)
 
 
-def code_subspace(code: TlrsCode) -> Subspace:
-    """The code as a K-subspace of ambient residue coordinates."""
+def _code_rows(code: TlrsCode) -> Mat:
+    """The basis polynomials in ambient residue coordinates, one per row."""
     ctx = code.params.ctx
     rows = [ctx.coords_of(f) for f in code.basis_polys]
-    return Subspace.from_generators(rows, ctx.tower, MID, ctx.ambient_dim)
+    return Mat.from_rows(rows, tower=ctx.tower, level=MID, cols=ctx.ambient_dim)
+
+
+def code_subspace(code: TlrsCode) -> Subspace:
+    """The code as a K-subspace of ambient residue coordinates."""
+    a = _code_rows(code)
+    return Subspace.from_generators(a.entries, a.tower, MID, a.cols)
 
 
 def dual_basis(code: TlrsCode) -> Subspace:
@@ -260,19 +268,18 @@ def dual_basis(code: TlrsCode) -> Subspace:
     The form is non-degenerate on the full residue space, so the dual has
     K-dimension ambient_dim - kr = ell*r^2 - kr.
     """
-    ctx = code.params.ctx
-    rows = [ctx.coords_of(f) for f in code.basis_polys]
-    a = Mat.from_rows(rows, tower=ctx.tower, level=MID, cols=ctx.ambient_dim)
-    pairings = a @ _form_matrix(ctx)
-    _, kernel = linalg.rank_kernel(pairings)
+    a = _code_rows(code)
+    _, kernel = linalg.rank_kernel(a @ _form_matrix(code.params.ctx))
     return kernel
 
 
 def hull_oracle(code: TlrsCode) -> int:
-    """dim_K(C intersect C-perp), via the dual kernel and the subspace
-    intersection; zero exactly for complementary-dual codes and equal to
+    """dim_K(C intersect C-perp), counted by ``linalg.meet_dim`` from the
+    code rows and their form values against the ambient basis, whose kernel
+    is the dual; zero exactly for complementary-dual codes and equal to
     dim C for self-orthogonal ones."""
-    return linalg.intersect(code_subspace(code), dual_basis(code)).dim
+    a = _code_rows(code)
+    return linalg.meet_dim(a, a @ _form_matrix(code.params.ctx))
 
 
 def min_sum_rank_distance(

@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 
 from sumrank import linalg
@@ -25,6 +27,24 @@ def f81():
 def f2401():
     """p=7, m=2 (q=49), for the square-table agreement sweep."""
     return FieldTower(7, 2, 2)
+
+
+@pytest.fixture
+def forbidden(monkeypatch):
+    """Context manager that makes the named functions of a module raise
+    while it is open, so a block shows that it never calls them."""
+
+    @contextlib.contextmanager
+    def run(module, *names):
+        def called(*args, **kwargs):
+            raise AssertionError(f"{module.__name__} function called")
+
+        with monkeypatch.context() as patch:
+            for name in names:
+                patch.setattr(module, name, called)
+            yield
+
+    return run
 
 
 @pytest.fixture

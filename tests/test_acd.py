@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import hull_reference
 from sumrank import acd, linalg
 from sumrank.errors import (
     BadParamsError,
@@ -225,6 +226,47 @@ def test_acd_oracle_dims(f169):
         hull = acd.acd_oracle(params)
         assert 0 <= hull <= 2 * k
         assert (hull == 0) == acd.acd_check(params).matrix_ok
+
+
+def test_acd_oracle_matches_intersection_reference(f25, f81, f169, forbidden):
+    """The rank count of acd_oracle agrees with the reference intersection
+    of the code with its dual on every acd-distance class with a random
+    evaluation set and twist, on every set lambda_search finds at q = 13
+    (hull 0), and on a q = 9 (m = 2) code with a hull: k = 1, ell = 3 and
+    the default twist alpha, where p | ell forces one.  The oracle never
+    calls the trace matrix or the power sums of the criterion it checks."""
+    from sumrank.fields import FieldTower
+
+    rng = random.Random(73)
+    cases = []
+    for tower, k, ells in (
+        (f25, 2, range(3, 5)),
+        (f81, 1, range(2, 9)),
+        (f169, 1, range(2, 9)),
+        (FieldTower(17, 1, 2), 1, range(2, 9)),
+    ):
+        units = list(tower.mid_units())
+        tops = list(tower.top_units())
+        for ell in ells:
+            cases.append(
+                acd.AcdParams.make(tower, k, rng.sample(units, ell), rng.choice(tops))
+            )
+    found = [
+        acd.lambda_search(f169, k, ell)
+        for ell in range(2, f169.q - 1)
+        for k in range(1, ell // 2 + 1)
+        if k + ell < f169.q
+    ]
+    forced = acd.AcdParams.make(f81, 1, [[1, 2], [2, 1], [2, 2]])
+    hulls = []
+    with forbidden(acd, "t_matrix", "gg_dagger", "power_sums"):
+        for params in cases + found + [forced]:
+            hull = acd.acd_oracle(params)
+            case = (params.tower.q, params.k, [str(x) for x in params.lambda_set])
+            assert hull == hull_reference.acd_hull(params), case
+            hulls.append(hull)
+    assert len(found) == 22 and not any(hulls[len(cases):-1])
+    assert hulls[-1] >= 1 and any(hulls[:len(cases)])
 
 
 def test_acd_oracle_guard(good25):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -139,10 +140,13 @@ def test_csv_format(capsys):
 
 
 def test_console_script_entry():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "sumrank.cli", "verify-paper-examples"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "12/12 checks passed" in proc.stdout
@@ -164,6 +168,8 @@ def test_bad_input_names_the_input(capsys, monkeypatch):
               "--max-hull", "2"], "exceeds guard 2", 3),
         ({}, ["acd-search", "--p", "5", "--k", "1", "--ell", "3",
               "--max-hull", "2"], "exceeds guard 2", 3),
+        ({}, ["tlrs-sweep", "--p", "13", "--r", "3", "--ell", "12"],
+         "plans 230580 reports, above the bound 10000; narrow it with --k or --h", 3),
         # options no handler reads are argparse errors
         ({}, EXAMPLE_BUILD + ["--max-hull", "64"], "--max-hull"),
         ({}, ["tlrs-sweep", "--p", "5", "--ell", "2", "--max-enum", "9"], "--max-enum"),

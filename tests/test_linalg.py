@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hull_reference
 from sumrank import linalg
 from sumrank.errors import (
     AmbientMismatchError,
@@ -113,16 +114,9 @@ def _leibniz_det(m):
     return acc
 
 
-@pytest.mark.parametrize("level", [MID, TOP])
-@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (4, 4)])
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(data=st.data())
-def test_rank_matches_rref_rank(f81, level, shape, data):
-    """The echelon pivot count equals the RREF rank of rank_kernel, with
-    rank + kernel dimension = cols, at both levels of q = 9 (m = 2), on rows
-    drawn at random, zero, or repeating an earlier row.  On square shapes
-    det is nonzero exactly at full rank and equals the Leibniz sum."""
-    tower = f81
+def _draw_mat(data, tower, level, rows_n, cols, pool=()):
+    """A rows_n x cols matrix at ``level`` whose rows are drawn at random,
+    zero, repeating an earlier row, or, when ``pool`` is given, from it."""
     width = tower.m * (tower.r if level == TOP else 1)
     digits = st.lists(st.integers(0, tower.p - 1), min_size=width, max_size=width)
 
@@ -132,17 +126,32 @@ def test_rank_matches_rref_rank(f81, level, shape, data):
             return tower.mid(d)
         return tower.top([d[i * tower.m:(i + 1) * tower.m] for i in range(tower.r)])
 
-    rows_n, cols = shape
+    kinds = ["random", "zero", "repeat"] + (["pool"] if pool else [])
     rows = []
     for _ in range(rows_n):
-        kind = data.draw(st.sampled_from(["random", "zero", "repeat"]))
-        if kind == "zero":
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "pool":
+            rows.append(list(data.draw(st.sampled_from(pool))))
+        elif kind == "zero":
             rows.append([tower.zero(level)] * cols)
         elif kind == "repeat" and rows:
             rows.append(list(data.draw(st.sampled_from(rows))))
         else:
             rows.append([elem() for _ in range(cols)])
-    m = Mat.from_rows(rows, tower=tower, level=level, cols=cols)
+    return Mat.from_rows(rows, tower=tower, level=level, cols=cols)
+
+
+@pytest.mark.parametrize("level", [MID, TOP])
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (4, 4)])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rank_matches_rref_rank(f81, level, shape, data):
+    """The echelon pivot count equals the RREF rank of rank_kernel, with
+    rank + kernel dimension = cols, at both levels of q = 9 (m = 2), on rows
+    drawn at random, zero, or repeating an earlier row.  On square shapes
+    det is nonzero exactly at full rank and equals the Leibniz sum."""
+    rows_n, cols = shape
+    m = _draw_mat(data, f81, level, rows_n, cols)
     rank, ker = linalg.rank_kernel(m)
     assert linalg.rank(m) == rank == linalg.rank(m.transpose())
     assert rank + ker.dim == cols
@@ -150,6 +159,24 @@ def test_rank_matches_rref_rank(f81, level, shape, data):
         det = linalg.det(m)
         assert bool(det) == (rank == cols)
         assert det == _leibniz_det(m)
+
+
+@pytest.mark.parametrize("level", [MID, TOP])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (2, 1, 4), (4, 2, 3)])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_meet_dim_matches_reference_intersection(f81, level, shape, data):
+    """meet_dim(rows, pairing) equals the dimension of the reference
+    intersection of rowspace(rows) with the reference kernel of pairing, at
+    both levels of q = 9 (m = 2), in square and rectangular shapes
+    (rows x cols and pairing rows x cols), on random, zero and repeated
+    rows.  Rows may also be reference kernel vectors, so that the
+    intersection is nonzero often at both levels."""
+    rows_n, pairing_n, cols = shape
+    pairing = _draw_mat(data, f81, level, pairing_n, cols)
+    _, kernel = hull_reference.rank_kernel(pairing)
+    rows = _draw_mat(data, f81, level, rows_n, cols, kernel.basis.entries)
+    assert linalg.meet_dim(rows, pairing) == hull_reference.meet_dim(rows, pairing)
 
 
 # ---------------------------------------------------------------- distance walk
@@ -224,7 +251,7 @@ def test_min_weight_floor_one_is_the_least_weight(f25, f81):
 def test_intersect_self(f25):
     basis = mid_mat(f25, [[1, 0, 0, 0], [0, 1, 0, 0]])
     s = Subspace.from_generators(basis.entries, f25, MID, 4)
-    assert linalg.intersect(s, s).basis == s.basis
+    assert hull_reference.intersect(s, s).basis == s.basis
 
 
 def test_intersect_complementary(f25):
@@ -234,7 +261,7 @@ def test_intersect_complementary(f25):
     b = Subspace.from_generators(
         mid_mat(f25, [[0, 0, 1, 0], [0, 0, 0, 1]]).entries, f25, MID, 4
     )
-    assert linalg.intersect(a, b).dim == 0
+    assert hull_reference.intersect(a, b).dim == 0
 
 
 def test_intersection_dimension_formula(f169):
@@ -246,8 +273,8 @@ def test_intersection_dimension_formula(f169):
         b = Subspace.from_generators(
             rand_mid_mat(f169, rng, rng.randint(1, 4), 6).entries, f169, MID, 6
         )
-        inter = linalg.intersect(a, b)
-        total = linalg.subspace_sum(a, b)
+        inter = hull_reference.intersect(a, b)
+        total = hull_reference.subspace_sum(a, b)
         assert a.dim + b.dim == inter.dim + total.dim
         for row in inter.basis.entries:
             assert a.contains(row) and b.contains(row)
@@ -257,7 +284,9 @@ def test_intersect_ambient_mismatch(f25):
     a = Subspace.from_generators([], f25, MID, 3)
     b = Subspace.from_generators([], f25, MID, 4)
     with pytest.raises(AmbientMismatchError):
-        linalg.intersect(a, b)
+        hull_reference.intersect(a, b)
+    with pytest.raises(AmbientMismatchError):
+        linalg.meet_dim(a.basis, b.basis)
 
 
 # ---------------------------------------------------------------- Schur residual

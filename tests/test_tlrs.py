@@ -5,10 +5,23 @@ import random
 
 import pytest
 
+import hull_reference
 from sumrank import linalg, tlrs
 from sumrank.errors import BadParamsError, TooLargeError
 from sumrank.fields import MID, FieldTower
 from sumrank.skew import QuotientCtx, SkewPoly, sum_rank_weight
+
+
+# (p, m, r), k, largest ell of the tlrs-certify benchmark classes: every
+# ell | q - 1 up to it with k <= ell*r - 1 is one class
+CERTIFY_CLASSES = (
+    ((5, 1, 2), 1, 4),
+    ((5, 1, 2), 2, 2),
+    ((3, 2, 2), 1, 4),
+    ((13, 1, 2), 1, 4),
+    ((5, 1, 3), 1, 4),
+    ((7, 1, 3), 1, 3),
+)
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +253,7 @@ def test_code_plus_dual_fills_ambient_when_lcd(example_code):
     # trivial hull plus complementary dimensions means a direct sum
     code_space = tlrs.code_subspace(example_code)
     dual = tlrs.dual_basis(example_code)
-    assert linalg.subspace_sum(code_space, dual).dim == 8
+    assert hull_reference.subspace_sum(code_space, dual).dim == 8
 
 
 def test_hull_matches_criterion_eta_sweep(f25, ctx25):
@@ -248,6 +261,34 @@ def test_hull_matches_criterion_eta_sweep(f25, ctx25):
         params = tlrs.TlrsParams(ctx25, 1, 0, eta)
         hull = tlrs.hull_oracle(tlrs.build_code(params))
         assert (hull == 0) == tlrs.lcd_criterion(params)
+
+
+def test_hull_oracle_matches_intersection_reference(f25, ctx25, forbidden):
+    """The rank count of hull_oracle agrees with the reference intersection
+    of the code with its dual on every class of the tlrs-certify benchmark
+    with a random twist and h, on an eta^2 = -1 twist (hull > 0) wherever L
+    has one, and on the self-orthogonal (5,1,2) eta = 2 code (hull 2).  The
+    oracle never calls the Gram machinery of the criterion it checks."""
+    rng = random.Random(61)
+    cases = 0
+    for shape, k, max_ell in CERTIFY_CLASSES:
+        tower = FieldTower(*shape)
+        units = list(tower.top_units())
+        non_lcd = [e for e in units if not tower.top_one() + e * e]
+        for ell in range(1, max_ell + 1):
+            if (tower.q - 1) % ell or k > ell * tower.r - 1:
+                continue
+            ctx = QuotientCtx.build(tower, ell)
+            for eta in [rng.choice(units)] + non_lcd[:1]:
+                code = tlrs.build_code(tlrs.TlrsParams(ctx, k, rng.randrange(tower.r), eta))
+                with forbidden(tlrs, "gram", "gram_blocks", "lambda_form"):
+                    hull = tlrs.hull_oracle(code)
+                assert hull == hull_reference.tlrs_hull(code), (shape, k, ell, str(eta))
+                assert hull > 0 or eta not in non_lcd
+                cases += 1
+    assert cases == 17 + 14  # (7,1,3) has no eta with eta^2 = -1
+    self_orth = tlrs.build_code(tlrs.TlrsParams(ctx25, 1, 0, f25.parse_top("2+0u")))
+    assert tlrs.hull_oracle(self_orth) == hull_reference.tlrs_hull(self_orth) == 2
 
 
 def test_dim_code_plus_dual(f25, f169):
@@ -307,14 +348,7 @@ def test_min_sum_rank_distance_matches_per_word_reference():
     ell = 2 wherever L has one."""
     rng = random.Random(59)
     cases = 0
-    for shape, k, max_ell in (
-        ((5, 1, 2), 1, 4),
-        ((5, 1, 2), 2, 2),
-        ((3, 2, 2), 1, 4),
-        ((13, 1, 2), 1, 4),
-        ((5, 1, 3), 1, 4),
-        ((7, 1, 3), 1, 3),
-    ):
+    for shape, k, max_ell in CERTIFY_CLASSES:
         tower = FieldTower(*shape)
         units = list(tower.top_units())
         non_lcd = [e for e in units if not tower.top_one() + e * e]
@@ -356,15 +390,7 @@ def test_sum_rank_distance_sandwich(floor_and_full_walk):
     meet a word of weight N - k + 1 before one of weight N - k."""
     rng = random.Random(60)
     seen = set()
-    for shape, k, max_ell in (
-        ((5, 1, 2), 1, 4),
-        ((5, 1, 2), 2, 2),
-        ((3, 2, 2), 1, 4),
-        ((13, 1, 2), 1, 4),
-        ((5, 1, 3), 1, 4),
-        ((7, 1, 3), 1, 3),
-        ((5, 1, 2), 3, 4),
-    ):
+    for shape, k, max_ell in CERTIFY_CLASSES + (((5, 1, 2), 3, 4),):
         tower = FieldTower(*shape)
         units = list(tower.top_units())
         non_lcd = [e for e in units if not tower.top_one() + e * e]
