@@ -22,7 +22,6 @@ from .tlrs import (
     TlrsCode,
     TlrsParams,
     build_code,
-    dual_basis,
     gram,
     hull_oracle,
     lambda_form,

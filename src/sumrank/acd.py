@@ -245,22 +245,12 @@ def trace_hermitian(u, v) -> Elem:
 
 
 def gg_dagger(params: AcdParams) -> Mat:
-    """G G-dagger over F_{q^2}: entry (r, s) is sum_j G[r,j] * G[s,j]^q."""
+    """G G-dagger over F_{q^2}: entry (r, s) is sum_j G[r,j] * G[s,j]^q,
+    the product of G with its entrywise-Frobenius transpose."""
     tower = params.tower
     gen = params._generator
-    n = gen.rows
-    conj_rows = [[tower.frobenius(x, 1) for x in row] for row in gen.entries]
-    rows = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            acc = tower.top_zero()
-            for x, y in zip(gen.entries[r], conj_rows[s]):
-                if x and y:
-                    acc = acc + x * y
-            row.append(acc)
-        rows.append(row)
-    return Mat.from_rows(rows, tower=tower, level=TOP, cols=n)
+    conj_t = [[tower.frobenius(row[j], 1) for row in gen.entries] for j in range(gen.cols)]
+    return gen @ Mat.from_rows(conj_t, tower=tower, level=TOP, cols=gen.rows)
 
 
 def t_matrix(params: AcdParams) -> Mat:

@@ -62,6 +62,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class _CoeffOps:
+    """The arithmetic of one field on raw coordinates: its zero and one, the
+    ring operations, the inverse of a nonzero element, and the field size."""
+
     __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "size")
 
     def __init__(self, zero, one, add, sub, neg, mul, inv, size):
@@ -183,17 +186,34 @@ def _reduction_rows(ops, modulus):
     return rows
 
 
+def _binomial_is_irreducible(ops, a, d) -> bool:
+    """Whether x^d - a (a nonzero, over a field of s = ops.size elements) is
+    irreducible: iff every prime factor of d divides e = ord(a) but not
+    (s - 1)/e, and 4 | s - 1 when 4 | d (Lidl-Niederreiter, Finite Fields,
+    Thm 3.75).  Every binomial of degree 1 is."""
+    e = ops.size - 1  # stripped below to ord(a)
+    for t in _prime_factors(e):
+        while e % t == 0 and _power(ops, a, e // t) == ops.one:
+            e //= t
+    cofactor = (ops.size - 1) // e
+    if any(e % t or cofactor % t == 0 for t in _prime_factors(d)):
+        return False
+    return d % 4 != 0 or (ops.size - 1) % 4 == 0
+
+
 def _default_modulus(ops, elements, degree):
     """The least irreducible monic polynomial of the given degree over the
     field whose elements are listed in canonical order: binomials x^d - a
-    with the smallest a first, then the lexicographically smallest."""
+    with the smallest a first, decided in closed form, then the
+    lexicographically smallest, skipping those x divides (degree 1 never
+    gets there: x - 1 is irreducible)."""
     zero, one = ops.zero, ops.one
     for a in elements:
-        if a != zero:
-            cand = [ops.neg(a)] + [zero] * (degree - 1) + [one]
-            if _poly_is_irreducible(ops, cand):
-                return tuple(cand)
+        if a != zero and _binomial_is_irreducible(ops, a, degree):
+            return tuple([ops.neg(a)] + [zero] * (degree - 1) + [one])
     for tail in itertools.product(elements, repeat=degree):
+        if tail[0] == zero:
+            continue
         cand = list(tail) + [one]
         if _poly_is_irreducible(ops, cand):
             return tuple(cand)
@@ -530,6 +550,11 @@ class FieldTower:
         if a == self._top_ops.zero:
             raise ZeroDivisionError("inverse of zero")
         return _power(self._top_ops, a, self.top_order - 2)
+
+    def coord_ops(self, level: str) -> _CoeffOps:
+        """The coordinate arithmetic of one level: the record the element
+        operators call, for loops that compute on raw ``coords``."""
+        return self._ops[level]
 
     # -- constructors ----------------------------------------------------------
 

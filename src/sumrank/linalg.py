@@ -4,15 +4,22 @@ Everything is Gaussian elimination with first-nonzero pivoting (fields have
 no magnitudes, so any nonzero pivot is as good as another and this choice
 keeps results deterministic).  Matrices are immutable; all functions are
 pure.  Empty matrices follow the conventions det([]) = 1 and rank([]) = 0
-so that degenerate block sizes fall out of the general formulas.
+so that degenerate block sizes fall out of the general formulas.  Entries
+are :class:`Elem`s, but every elimination except ``meet_dim``'s stacked
+rank, and the matrix sum and product, read their coordinates once and
+compute with the level's :meth:`FieldTower.coord_ops`, building elements
+only for returned values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import (
     AmbientMismatchError,
+    BadParamsError,
+    LevelMismatchError,
     NotSquareError,
     SingularLeadingBlockError,
     TooLargeError,
@@ -46,6 +53,12 @@ class Mat:
         return cls(tower, level, len(rows), cols, rows)
 
     @classmethod
+    def _of_coords(cls, tower: FieldTower, level: str, cols: int, rows) -> "Mat":
+        """The matrix whose entries have the given coordinate rows."""
+        return cls(tower, level, len(rows), cols,
+                   [[Elem(tower, level, c) for c in row] for row in rows])
+
+    @classmethod
     def identity(cls, tower: FieldTower, level: str, n: int) -> "Mat":
         zero, one = tower.zero(level), tower.one(level)
         return cls(
@@ -77,25 +90,28 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        rows = [[x + y for x, y in zip(a, b)] for a, b in zip(self.entries, other.entries)]
-        return Mat(self.tower, self.level, self.rows, self.cols, rows)
+        add = self.tower.coord_ops(self.level).add
+        rows = [[add(x, y) for x, y in zip(a, b)]
+                for a, b in zip(_coords(self), _coords_of(other.entries, self.tower, self.level))]
+        return Mat._of_coords(self.tower, self.level, self.cols, rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.tower.zero(self.level)
+        ops = self.tower.coord_ops(self.level)
+        zero, add, mul = ops.zero, ops.add, ops.mul
+        bt = list(zip(*_coords_of(other.entries, self.tower, self.level))) or [()] * other.cols
         out = []
-        bt = other.transpose().entries
-        for arow in self.entries:
+        for arow in _coords(self):
             row = []
             for bcol in bt:
                 acc = zero
                 for x, y in zip(arow, bcol):
-                    if x and y:
-                        acc = acc + x * y
+                    if x != zero and y != zero:
+                        acc = add(acc, mul(x, y))
                 row.append(acc)
             out.append(row)
-        return Mat(self.tower, self.level, self.rows, other.cols, out)
+        return Mat._of_coords(self.tower, self.level, other.cols, out)
 
     def stack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
@@ -110,13 +126,6 @@ class Mat:
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
 
     def __eq__(self, other):
         return (
@@ -136,6 +145,24 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {self.to_lists()})"
 
 
+def _coords(m: Mat) -> list[list]:
+    """The coordinate rows of m, as fresh lists the eliminations may reduce."""
+    return _coords_of(m.entries, m.tower, m.level)
+
+
+def _coords_of(rows, tower: FieldTower, level: str) -> list[list]:
+    """The coordinate rows of rows of elements, which must all live at
+    ``level`` of ``tower``: unlike the element operators, the coordinate
+    arithmetic cannot check that."""
+    out = []
+    for row in rows:
+        for e in row:
+            if e.tower is not tower or e.level != level:
+                raise LevelMismatchError(f"matrix entries must all live at {level!r} of one tower")
+        out.append([e.coords for e in row])
+    return out
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of the row space F^ambient_dim, held as an RREF basis."""
@@ -149,43 +176,41 @@ class Subspace:
 
     @classmethod
     def from_generators(cls, rows, tower, level, ambient_dim) -> "Subspace":
-        mat = Mat.from_rows(rows, tower=tower, level=level, cols=ambient_dim)
-        reduced, _ = _row_reduce(mat)
-        return cls(ambient_dim, Mat.from_rows(reduced, tower=tower, level=level, cols=ambient_dim))
-
-    def contains(self, vector) -> bool:
-        probe = Subspace.from_generators(
-            list(self.basis.entries) + [vector],
-            self.basis.tower,
-            self.basis.level,
-            self.ambient_dim,
-        )
-        return probe.dim == self.dim
+        coords = _coords_of(rows, tower, level)
+        if any(len(row) != ambient_dim for row in coords):
+            raise ValueError("entry grid does not match declared shape")
+        return _span(tower, level, ambient_dim, coords)
 
 
-def _row_reduce(m: Mat):
-    """Reduced row echelon form; returns (nonzero rows, pivot column list)."""
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
+def _span(tower: FieldTower, level: str, cols: int, rows) -> Subspace:
+    """The span of coordinate rows, held as their RREF."""
+    reduced, _ = _row_reduce(tower.coord_ops(level), rows, cols)
+    return Subspace(cols, Mat._of_coords(tower, level, cols, reduced))
+
+
+def _row_reduce(ops, rows, ncols):
+    """Reduced row echelon form of coordinate rows, reduced in place;
+    returns (nonzero rows, pivot column list)."""
+    zero, mul, sub = ops.zero, ops.mul, ops.sub
+    nrows = len(rows)
     pivots = []
     rank = 0
     for col in range(ncols):
-        pivot_row = None
         for i in range(rank, nrows):
-            if rows[i][col]:
+            if rows[i][col] != zero:
                 pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         pivot = rows[rank]
         # the pivot row is zero left of col, so only col.. changes anywhere
-        inv = m.tower.one(m.level) / pivot[col]
-        pivot[col:] = [x * inv for x in pivot[col:]]
+        inv = ops.inv(pivot[col])
+        pivot[col:] = [mul(x, inv) for x in pivot[col:]]
         for i in range(nrows):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i][col:] = [x - f * y for x, y in zip(rows[i][col:], pivot[col:])]
+            f = rows[i][col]
+            if i != rank and f != zero:
+                rows[i][col:] = [sub(x, mul(f, y)) for x, y in zip(rows[i][col:], pivot[col:])]
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -193,24 +218,26 @@ def _row_reduce(m: Mat):
     return rows[:rank], pivots
 
 
-def _echelon(m: Mat):
-    """Forward elimination to row-echelon form with no pivot inverse: a row
-    below pivot row P whose entry in the pivot column is f becomes
-    pivot * row - f * P.  Yields, for each column in turn, None when it has
-    no pivot, else (pivot, swapped, scaled) with ``scaled`` the number of
-    rows multiplied by the pivot.  Stops once every row holds a pivot."""
-    rows = [list(r) for r in m.entries]
-    nrows = m.rows
+def _echelon(ops, rows, ncols):
+    """Forward elimination of rows, in place, with the ``zero``, ``mul`` and
+    ``sub`` of ``ops`` (coordinate arithmetic, or for meet_dim's stacked
+    rank the element operators), to row-echelon form
+    with no pivot inverse: a row below pivot row P whose entry in the pivot
+    column is f becomes pivot * row - f * P.  Yields, for each column in
+    turn, None when it has no pivot, else (pivot, swapped, scaled) with
+    ``scaled`` the number of rows multiplied by the pivot.  Stops once
+    every row holds a pivot."""
+    zero, mul, sub = ops.zero, ops.mul, ops.sub
+    nrows = len(rows)
     rank = 0
-    for col in range(m.cols):
+    for col in range(ncols):
         if rank == nrows:
             return
-        pivot_row = None
         for i in range(rank, nrows):
-            if rows[i][col]:
+            if rows[i][col] != zero:
                 pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             yield None
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
@@ -219,14 +246,19 @@ def _echelon(m: Mat):
         scaled = 0
         for i in range(rank + 1, nrows):
             f = rows[i][col]
-            if f:
+            if f != zero:
                 # entries left of col + 1 are never read again
                 rows[i][col + 1:] = [
-                    pv * x - f * y for x, y in zip(rows[i][col + 1:], pivot[col + 1:])
+                    sub(mul(pv, x), mul(f, y))
+                    for x, y in zip(rows[i][col + 1:], pivot[col + 1:])
                 ]
                 scaled += 1
         yield pv, pivot_row != rank, scaled
         rank += 1
+
+
+def _rank(ops, rows, ncols) -> int:
+    return sum(1 for step in _echelon(ops, rows, ncols) if step is not None)
 
 
 def det(m: Mat) -> Elem:
@@ -234,21 +266,22 @@ def det(m: Mat) -> Elem:
     by the pivot powers the elimination scaled rows with."""
     if m.rows != m.cols:
         raise NotSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    one = m.tower.one(m.level)
-    acc, scale = one, one
-    for step in _echelon(m):
+    ops = m.tower.coord_ops(m.level)
+    mul = ops.mul
+    acc = scale = ops.one
+    for step in _echelon(ops, _coords(m), m.cols):
         if step is None:
-            return m.tower.zero(m.level)
+            return Elem(m.tower, m.level, ops.zero)
         pivot, swapped, scaled = step
-        acc = -(acc * pivot) if swapped else acc * pivot
-        if scaled:
-            scale = scale * pivot ** scaled
-    return acc / scale
+        acc = ops.neg(mul(acc, pivot)) if swapped else mul(acc, pivot)
+        for _ in range(scaled):
+            scale = mul(scale, pivot)
+    return Elem(m.tower, m.level, mul(acc, ops.inv(scale)))
 
 
 def rank(m: Mat) -> int:
     """Rank of m: the pivot count of its echelon form, no kernel built."""
-    return sum(1 for step in _echelon(m) if step is not None)
+    return _rank(m.tower.coord_ops(m.level), _coords(m), m.cols)
 
 
 def min_weight(words, p: int, weight, max_enumeration: int, floor: int = 1) -> int:
@@ -257,6 +290,8 @@ def min_weight(words, p: int, weight, max_enumeration: int, floor: int = 1) -> i
     entrywise, one addition per entry.  ``floor`` is a proven lower bound on
     that least weight (1 for any nonzero word), so the walk stops at the
     first word whose weight reaches it."""
+    if not words:
+        raise BadParamsError("min_weight of an empty basis: it spans no nonzero word")
     size = p ** len(words)
     if size > max_enumeration:
         raise TooLargeError(
@@ -275,29 +310,29 @@ def min_weight(words, p: int, weight, max_enumeration: int, floor: int = 1) -> i
     return best
 
 
-def _kernel_rows(m: Mat, reduced, pivots) -> list[list[Elem]]:
-    """Basis of the right kernel of m read off its RREF (``reduced``,
-    ``pivots``): one row per free column, 1 there and the negated reduced
-    entries of that column at the pivot columns."""
-    zero, one = m.tower.zero(m.level), m.tower.one(m.level)
+def _kernel_rows(ops, reduced, pivots, ncols) -> list[list]:
+    """Coordinate basis of the right kernel of a matrix read off its RREF
+    (``reduced``, ``pivots``): one row per free column, 1 there and the
+    negated reduced entries of that column at the pivot columns."""
     pivot_set = set(pivots)
     rows = []
-    for free in range(m.cols):
+    for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [zero] * m.cols
-        v[free] = one
+        v = [ops.zero] * ncols
+        v[free] = ops.one
         for i, pcol in enumerate(pivots):
-            v[pcol] = -reduced[i][free]
+            v[pcol] = ops.neg(reduced[i][free])
         rows.append(v)
     return rows
 
 
 def rank_kernel(m: Mat) -> tuple[int, Subspace]:
     """Rank of m and a basis of its right kernel {v : m v^T = 0}."""
-    reduced, pivots = _row_reduce(m)
-    kernel_rows = _kernel_rows(m, reduced, pivots)
-    return len(pivots), Subspace.from_generators(kernel_rows, m.tower, m.level, m.cols)
+    ops = m.tower.coord_ops(m.level)
+    reduced, pivots = _row_reduce(ops, _coords(m), m.cols)
+    kernel = _kernel_rows(ops, reduced, pivots, m.cols)
+    return len(pivots), _span(m.tower, m.level, m.cols, kernel)
 
 
 def meet_dim(rows: Mat, pairing: Mat) -> int:
@@ -305,27 +340,48 @@ def meet_dim(rows: Mat, pairing: Mat) -> int:
 
     The kernel rows come from the one RREF of ``pairing`` and are
     independent, so dim K is their count, and the dimension is
-    rank(rows) + dim K - rank [rows; K]."""
+    rank(rows) + dim K - rank [rows; K].
+
+    The stacked rank, unlike every other elimination here, runs on the
+    element operators.  It is half of every acd-search job; on coordinates
+    that benchmark runs about 1.5 times as many jobs, and perfbench's
+    peak_rss_mb, which grows with every job record a run keeps, passes its
+    bound.  Rank ``both`` with ``ops`` on coordinates once perfbench stops
+    keeping them."""
     if rows.cols != pairing.cols:
         raise AmbientMismatchError(
             f"ambient dims {rows.cols} and {pairing.cols} differ"
         )
-    reduced, pivots = _row_reduce(pairing)
-    kernel = _kernel_rows(pairing, reduced, pivots)
-    both = rows.stack(Mat(rows.tower, rows.level, len(kernel), rows.cols, kernel))
-    return rank(rows) + len(kernel) - rank(both)
+    tower, level, n = rows.tower, rows.level, rows.cols
+    ops = tower.coord_ops(level)
+    reduced, pivots = _row_reduce(ops, _coords_of(pairing.entries, tower, level), n)
+    kernel = [[Elem(tower, level, c) for c in row] for row in _kernel_rows(ops, reduced, pivots, n)]
+    both = [list(r) for r in rows.entries] + kernel
+    return _rank(ops, _coords(rows), n) + len(kernel) - _rank(_elem_ops(tower, level), both, n)
+
+
+def _elem_ops(tower: FieldTower, level: str) -> SimpleNamespace:
+    """The element operators :func:`_echelon` uses, in the shape of
+    :meth:`FieldTower.coord_ops`."""
+    return SimpleNamespace(zero=tower.zero(level), mul=Elem.__mul__, sub=Elem.__sub__)
+
+
+def _solve(ops, aug, n: int) -> list:
+    """Coordinates of x with M x = b, where ``aug`` holds the rows of
+    [M | b] for square M of size n; raises if M is singular."""
+    reduced, pivots = _row_reduce(ops, aug, n + 1)
+    if pivots != list(range(n)):
+        raise SingularLeadingBlockError("singular system")
+    return [row[n] for row in reduced]
 
 
 def solve(m: Mat, rhs) -> list[Elem]:
     """Solve m x = rhs for square invertible m; raises if singular."""
     if m.rows != m.cols:
         raise NotSquareError("solve needs a square matrix")
-    aug_rows = [list(row) + [r] for row, r in zip(m.entries, rhs)]
-    aug = Mat.from_rows(aug_rows, tower=m.tower, level=m.level, cols=m.cols + 1)
-    reduced, pivots = _row_reduce(aug)
-    if pivots != list(range(m.cols)):
-        raise SingularLeadingBlockError("singular system")
-    return [reduced[i][m.cols] for i in range(m.cols)]
+    aug = [row + b for row, b in zip(_coords(m), _coords_of([[r] for r in rhs], m.tower, m.level))]
+    x = _solve(m.tower.coord_ops(m.level), aug, m.cols)
+    return [Elem(m.tower, m.level, c) for c in x]
 
 
 def schur_residual(h: Mat) -> Elem:
@@ -337,23 +393,14 @@ def schur_residual(h: Mat) -> Elem:
     n = h.rows
     if n == 0:
         raise NotSquareError("schur_residual of an empty matrix")
-    if n == 1:
-        return h[0, 0]
-    lead = Mat.from_rows(
-        [row[: n - 1] for row in h.entries[: n - 1]],
-        tower=h.tower,
-        level=h.level,
-        cols=n - 1,
-    )
-    b = [h.entries[i][n - 1] for i in range(n - 1)]
+    ops = h.tower.coord_ops(h.level)
+    rows = _coords(h)
     try:
-        x = solve(lead, b)
+        # the first n - 1 rows are [M | b]
+        x = _solve(ops, rows[: n - 1], n - 1)
     except SingularLeadingBlockError:
-        raise SingularLeadingBlockError(
-            "leading principal block is singular"
-        ) from None
-    d = h.entries[n - 1][n - 1]
-    acc = d
-    for c, xi in zip(h.entries[n - 1][: n - 1], x):
-        acc = acc - c * xi
-    return acc
+        raise SingularLeadingBlockError("leading principal block is singular") from None
+    acc = rows[n - 1][n - 1]
+    for c, xi in zip(rows[n - 1], x):
+        acc = ops.sub(acc, ops.mul(c, xi))
+    return Elem(h.tower, h.level, acc)

@@ -23,7 +23,7 @@ from typing import Optional
 from . import linalg
 from .errors import BadParamsError
 from .fields import MID, TOP, Elem, FieldTower
-from .linalg import Mat, Subspace
+from .linalg import Mat
 from .skew import QuotientCtx, SkewPoly
 
 DEFAULT_MAX_ENUMERATION = 10**6
@@ -177,26 +177,6 @@ def gram_blocks(code: TlrsCode):
     return m_block, b_block, alpha
 
 
-def gram_assembled(code: TlrsCode) -> Mat:
-    """Block-diagonal assembly diag(M, .., M, B): k-1 copies of M then B."""
-    params = code.params
-    tower = params.ctx.tower
-    r = tower.r
-    m_block, b_block, _ = gram_blocks(code)
-    n = params.k * r
-    zero = tower.mid_zero()
-    rows = [[zero] * n for _ in range(n)]
-    for blk in range(params.k - 1):
-        for s in range(r):
-            for t in range(r):
-                rows[blk * r + s][blk * r + t] = m_block[s, t]
-    off = (params.k - 1) * r
-    for s in range(r):
-        for t in range(r):
-            rows[off + s][off + t] = b_block[s, t]
-    return Mat.from_rows(rows, tower=tower, level=MID, cols=n)
-
-
 def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
     """Entrywise Gram matrix of the basis, plus the closed-form blocks.
 
@@ -249,37 +229,16 @@ def _form_matrix(ctx: QuotientCtx) -> Mat:
     return Mat.from_rows(rows, tower=tower, level=MID, cols=n)
 
 
-def _code_rows(code: TlrsCode) -> Mat:
-    """The basis polynomials in ambient residue coordinates, one per row."""
-    ctx = code.params.ctx
-    rows = [ctx.coords_of(f) for f in code.basis_polys]
-    return Mat.from_rows(rows, tower=ctx.tower, level=MID, cols=ctx.ambient_dim)
-
-
-def code_subspace(code: TlrsCode) -> Subspace:
-    """The code as a K-subspace of ambient residue coordinates."""
-    a = _code_rows(code)
-    return Subspace.from_generators(a.entries, a.tower, MID, a.cols)
-
-
-def dual_basis(code: TlrsCode) -> Subspace:
-    """Dual code: kernel of the basis-against-ambient form-value matrix.
-
-    The form is non-degenerate on the full residue space, so the dual has
-    K-dimension ambient_dim - kr = ell*r^2 - kr.
-    """
-    a = _code_rows(code)
-    _, kernel = linalg.rank_kernel(a @ _form_matrix(code.params.ctx))
-    return kernel
-
-
 def hull_oracle(code: TlrsCode) -> int:
     """dim_K(C intersect C-perp), counted by ``linalg.meet_dim`` from the
     code rows and their form values against the ambient basis, whose kernel
     is the dual; zero exactly for complementary-dual codes and equal to
-    dim C for self-orthogonal ones."""
-    a = _code_rows(code)
-    return linalg.meet_dim(a, a @ _form_matrix(code.params.ctx))
+    dim C for self-orthogonal ones.  The rows are the basis polynomials in
+    ambient residue coordinates."""
+    ctx = code.params.ctx
+    rows = [ctx.coords_of(f) for f in code.basis_polys]
+    a = Mat.from_rows(rows, tower=ctx.tower, level=MID, cols=ctx.ambient_dim)
+    return linalg.meet_dim(a, a @ _form_matrix(ctx))
 
 
 def min_sum_rank_distance(

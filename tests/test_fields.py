@@ -1,16 +1,18 @@
 """Tower arithmetic: golden values over F_25/F_5 plus structural properties."""
 
+import itertools
 import random
 
 import pytest
 
+from sumrank import fields
 from sumrank.errors import (
     BadTowerError,
     LevelMismatchError,
     NotADivisorError,
     ZeroInputError,
 )
-from sumrank.fields import FieldTower
+from sumrank.fields import MID, FieldTower
 
 
 def rand_top(tower, rng):
@@ -33,6 +35,8 @@ DEFAULT_MODELS = {
     (5, 1, 3): ([0, 1], [[1], [0], [1], [1]], [2]),
     (7, 1, 3): ([0, 1], [[5], [0], [0], [1]], [3]),
     (2, 3, 2): ([1, 0, 1, 1], [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [0, 0, 1]),
+    (3, 4, 3): ([1, 0, 1, 1, 1], [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+                [0, 0, 1, 1]),
 }
 
 
@@ -45,6 +49,41 @@ def test_pinned_quadratic_model(f25):
         d = FieldTower(p, m, r).to_dict()
         got = (d["base_modulus"], d["top_modulus"], d["generator_of_units"])
         assert got == expected, (p, m, r)
+
+
+def test_binomial_closed_form_matches_rabin():
+    """x^d - a is irreducible by Lidl-Niederreiter Thm 3.75 exactly when the
+    Rabin test says so, for every nonzero a and d = 2..4 over F_3, F_5,
+    F_7, F_8, F_9 and F_13."""
+    verdicts = set()
+    for p, m in ((3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1)):
+        ops = FieldTower(p, m, 1).coord_ops(MID)
+        for a in itertools.product(range(p), repeat=m):
+            if a == ops.zero:
+                continue
+            for d in (2, 3, 4):
+                binomial = [ops.neg(a)] + [ops.zero] * (d - 1) + [ops.one]
+                closed = fields._binomial_is_irreducible(ops, a, d)
+                assert closed == fields._poly_is_irreducible(ops, binomial), (p, m, a, d)
+                verdicts.add(closed)
+    assert verdicts == {False, True}
+
+
+def test_default_moduli_need_few_rabin_tests(monkeypatch):
+    """FieldTower(3, 4, 3) Rabin-tests only 9 polynomials: the base quartic's
+    5 fallback candidates with nonzero constant term, the top cubic's 2
+    (no binomial x^3 - a is irreducible over F_81, since 3 does not divide
+    80), and each modulus once more when the tower validates it."""
+    real = fields._poly_is_irreducible
+    calls = []
+
+    def counted(ops, f):
+        calls.append(len(f) - 1)
+        return real(ops, f)
+
+    monkeypatch.setattr(fields, "_poly_is_irreducible", counted)
+    FieldTower(3, 4, 3)
+    assert calls == [4] * 6 + [3] * 3
 
 
 def test_square_of_two_plus_u(f25):

@@ -11,11 +11,13 @@ import hull_reference
 from sumrank import linalg
 from sumrank.errors import (
     AmbientMismatchError,
+    BadParamsError,
+    LevelMismatchError,
     NotSquareError,
     SingularLeadingBlockError,
     TooLargeError,
 )
-from sumrank.fields import MID, TOP
+from sumrank.fields import MID, TOP, Elem, FieldTower
 from sumrank.linalg import Mat, Subspace
 
 
@@ -114,24 +116,33 @@ def _leibniz_det(m):
     return acc
 
 
-def _draw_mat(data, tower, level, rows_n, cols, pool=()):
-    """A rows_n x cols matrix at ``level`` whose rows are drawn at random,
-    zero, repeating an earlier row, or, when ``pool`` is given, from it."""
+def _draw_elem(data, tower, level):
     width = tower.m * (tower.r if level == TOP else 1)
-    digits = st.lists(st.integers(0, tower.p - 1), min_size=width, max_size=width)
+    d = data.draw(st.lists(st.integers(0, tower.p - 1), min_size=width, max_size=width))
+    if level == MID:
+        return tower.mid(d)
+    return tower.top([d[i * tower.m:(i + 1) * tower.m] for i in range(tower.r)])
 
+
+def _draw_mat(data, tower, level, rows_n, cols, pool=(), combine=False):
+    """A rows_n x cols matrix at ``level`` whose rows are drawn at random,
+    zero, repeating an earlier row, or, when ``pool`` is given, from it; with
+    ``combine`` a row may also be a combination of two earlier rows, so
+    that the rank falls short without a repeated row."""
     def elem():
-        d = data.draw(digits)
-        if level == MID:
-            return tower.mid(d)
-        return tower.top([d[i * tower.m:(i + 1) * tower.m] for i in range(tower.r)])
+        return _draw_elem(data, tower, level)
 
     kinds = ["random", "zero", "repeat"] + (["pool"] if pool else [])
+    kinds += ["combine"] if combine else []
     rows = []
     for _ in range(rows_n):
         kind = data.draw(st.sampled_from(kinds))
         if kind == "pool":
             rows.append(list(data.draw(st.sampled_from(pool))))
+        elif kind == "combine" and rows:
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            c = elem()
+            rows.append([x + c * y for x, y in zip(a, b)])
         elif kind == "zero":
             rows.append([tower.zero(level)] * cols)
         elif kind == "repeat" and rows:
@@ -146,14 +157,16 @@ def _draw_mat(data, tower, level, rows_n, cols, pool=()):
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(data=st.data())
 def test_rank_matches_rref_rank(f81, level, shape, data):
-    """The echelon pivot count equals the RREF rank of rank_kernel, with
-    rank + kernel dimension = cols, at both levels of q = 9 (m = 2), on rows
-    drawn at random, zero, or repeating an earlier row.  On square shapes
-    det is nonzero exactly at full rank and equals the Leibniz sum."""
+    """The echelon pivot count equals the rank of the reference RREF on
+    elements, and rank_kernel returns that rank and the reference kernel,
+    with rank + kernel dimension = cols, at both levels of q = 9 (m = 2), on
+    rows drawn at random, zero, or repeating an earlier row.  On square
+    shapes det is nonzero exactly at full rank and equals the Leibniz sum."""
     rows_n, cols = shape
     m = _draw_mat(data, f81, level, rows_n, cols)
-    rank, ker = linalg.rank_kernel(m)
+    rank, ker = hull_reference.rank_kernel(m)
     assert linalg.rank(m) == rank == linalg.rank(m.transpose())
+    assert linalg.rank_kernel(m) == (rank, ker)
     assert rank + ker.dim == cols
     if rows_n == cols:
         det = linalg.det(m)
@@ -177,6 +190,140 @@ def test_meet_dim_matches_reference_intersection(f81, level, shape, data):
     _, kernel = hull_reference.rank_kernel(pairing)
     rows = _draw_mat(data, f81, level, rows_n, cols, kernel.basis.entries)
     assert linalg.meet_dim(rows, pairing) == hull_reference.meet_dim(rows, pairing)
+
+
+@pytest.fixture(scope="module")
+def kernel_towers(f81, f169):
+    return {(3, 2, 2): f81, (13, 1, 2): f169, (5, 1, 3): FieldTower(5, 1, 3)}
+
+
+@pytest.mark.parametrize("level", [MID, TOP])
+@pytest.mark.parametrize("shape", [(3, 2, 2), (13, 1, 2), (5, 1, 3)])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_coordinate_kernels_match_elem_reference(kernel_towers, shape, level, data):
+    """det, rank, solve, schur_residual, rank_kernel and the matrix sum
+    and product, which compute on raw coordinates, and meet_dim, whose
+    stacked rank runs on the element operators, agree with the reference
+    elimination and products on elements, at both levels of
+    three towers (m = 2, a large prime field, r = 3), on square and
+    rectangular matrices whose rows are random, zero, repeated or
+    combinations of earlier rows."""
+    tower = kernel_towers[shape]
+    n = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 5))
+    a = _draw_mat(data, tower, level, n, n, combine=True)
+    b = _draw_mat(data, tower, level, n, n, combine=True)
+    rect = _draw_mat(data, tower, level, n, cols, combine=True)
+    assert linalg.det(a) == hull_reference.det(a)
+    assert linalg.rank(rect) == hull_reference.rank_kernel(rect)[0]
+    assert linalg.rank_kernel(rect) == hull_reference.rank_kernel(rect)
+    assert a + b == hull_reference.add(a, b)
+    assert a @ rect == hull_reference.matmul(a, rect)
+
+    pairing = _draw_mat(data, tower, level, data.draw(st.integers(0, 3)), cols, combine=True)
+    _, kernel = hull_reference.rank_kernel(pairing)
+    rows = _draw_mat(data, tower, level, n, cols, kernel.basis.entries, combine=True)
+    assert linalg.meet_dim(rows, pairing) == hull_reference.meet_dim(rows, pairing)
+
+    rhs = [_draw_elem(data, tower, level) for _ in range(n)]
+    if hull_reference.det(a):
+        assert linalg.solve(a, rhs) == hull_reference.solve(a, rhs)
+    else:
+        with pytest.raises(SingularLeadingBlockError):
+            linalg.solve(a, rhs)
+    lead = Mat.from_rows([row[: n - 1] for row in a.entries[: n - 1]],
+                         tower=tower, level=level, cols=n - 1)
+    if hull_reference.det(lead):
+        assert linalg.schur_residual(a) == hull_reference.schur_residual(a)
+    else:
+        with pytest.raises(SingularLeadingBlockError):
+            linalg.schur_residual(a)
+
+
+def test_kernels_make_no_elem_arithmetic(f81, forbidden):
+    """With every arithmetic operator of Elem made to raise, the kernels
+    still run at both levels of q = 9, and return what the Elem reference
+    returns with the operators in place.  meet_dim is the exception: its
+    stacked rank still runs on the element operators, so it is checked
+    outside."""
+    rng = random.Random(27)
+    ops = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__pow__")
+    for level in (MID, TOP):
+        units = [e for e in (f81.mid_elements() if level == MID else f81.top_elements()) if e]
+        rand = lambda rows, cols: Mat.from_rows(
+            [[rng.choice(units) for _ in range(cols)] for _ in range(rows)],
+            tower=f81, level=level, cols=cols)
+        a = rand(4, 4)
+        while not hull_reference.det(a) or not hull_reference.det(
+            Mat.from_rows([r[:3] for r in a.entries[:3]], tower=f81, level=level, cols=3)
+        ):
+            a = rand(4, 4)
+        low = a.stack(rand(1, 4))  # 5 x 4, rank 4
+        pairing = Mat.from_rows(list(low.entries[:2]), tower=f81, level=level, cols=4)
+        rhs = list(a.entries[0])
+        with forbidden(Elem, *ops):
+            with pytest.raises(AssertionError):
+                a[0, 0] * a[0, 0]
+            got = [
+                linalg.det(a),
+                linalg.rank(low),
+                linalg.rank_kernel(low.transpose()),
+                linalg.solve(a, rhs),
+                linalg.schur_residual(a),
+                a + a,
+                low @ a,
+                Subspace.from_generators(low.entries, f81, level, 4),
+            ]
+        assert linalg.meet_dim(low, pairing) == hull_reference.meet_dim(low, pairing)
+        assert got == [
+            hull_reference.det(a),
+            hull_reference.rank_kernel(low)[0],
+            hull_reference.rank_kernel(low.transpose()),
+            hull_reference.solve(a, rhs),
+            hull_reference.schur_residual(a),
+            hull_reference.add(a, a),
+            hull_reference.matmul(low, a),
+            hull_reference.span(low.entries, f81, level, 4),
+        ]
+
+
+def test_kernels_reject_entries_of_another_level(f81):
+    """The kernels compute on raw coordinates, which cannot tell levels or
+    towers apart, so they refuse an entry from another level or another
+    tower (equal or not) with LevelMismatchError before any arithmetic."""
+    twin = FieldTower(3, 2, 2)
+    one = f81.mid(1)
+    for stray in (f81.top(1), twin.mid(1)):
+        mixed = Mat.from_rows([[one, stray], [one, one]])
+        for call in (
+            linalg.det,
+            linalg.rank,
+            linalg.rank_kernel,
+            linalg.schur_residual,
+            lambda m: m + m,
+            lambda m: m @ m,
+            lambda m: linalg.meet_dim(m, m),
+            lambda m: linalg.solve(m, [one, one]),
+            lambda m: Subspace.from_generators(m.entries, f81, MID, 2),
+        ):
+            with pytest.raises(LevelMismatchError):
+                call(mixed)
+        square = Mat.identity(f81, MID, 2)
+        with pytest.raises(LevelMismatchError):
+            linalg.solve(square, [one, stray])
+    with pytest.raises(LevelMismatchError):
+        Mat.identity(f81, MID, 2) + Mat.identity(f81, TOP, 2)
+
+
+def test_span_rejects_rows_of_another_width(f81):
+    """Subspace.from_generators refuses a generator shorter or longer than
+    the ambient dimension, even one whose extra entries are zero."""
+    one, zero = f81.mid(1), f81.mid(0)
+    for rows in ([[one, zero]], [[one, zero, zero, zero]], [[one, zero, one], [one]]):
+        with pytest.raises(ValueError, match="declared shape"):
+            Subspace.from_generators(rows, f81, MID, 3)
+    assert Subspace.from_generators([[one, zero, one]], f81, MID, 3).dim == 1
 
 
 # ---------------------------------------------------------------- distance walk
@@ -223,6 +370,11 @@ def test_min_weight_guard_precedes_walk(f25):
     with pytest.raises(TooLargeError, match=r"^enumerating 125 codewords exceeds the guard 124$"):
         linalg.min_weight(words, 5, counted, 124, floor=4)
     assert calls == []
+
+
+def test_min_weight_rejects_empty_basis():
+    with pytest.raises(BadParamsError, match="empty basis"):
+        linalg.min_weight([], 5, len, 10)
 
 
 def test_min_weight_floor_one_is_the_least_weight(f25, f81):
@@ -277,7 +429,7 @@ def test_intersection_dimension_formula(f169):
         total = hull_reference.subspace_sum(a, b)
         assert a.dim + b.dim == inter.dim + total.dim
         for row in inter.basis.entries:
-            assert a.contains(row) and b.contains(row)
+            assert hull_reference.contains(a, row) and hull_reference.contains(b, row)
 
 
 def test_intersect_ambient_mismatch(f25):
