@@ -25,11 +25,10 @@ Everything assumes q = 1 mod 4 and q >= 5, odd characteristic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from . import linalg
+from ._record import record
 from .errors import (
     BadParamsError,
     BadRootsError,
@@ -46,7 +45,7 @@ DEFAULT_MAX_ENUMERATION = 10**7
 DEFAULT_MAX_HULL = 64
 
 
-@dataclass(frozen=True)
+@record
 class AcdParams:
     """Parameters of one additive twisted code.
 
@@ -99,7 +98,7 @@ class AcdParams:
         tower: FieldTower,
         k: int,
         lambda_set,
-        twist_scalar: Optional[Elem] = None,
+        twist_scalar: Elem | None = None,
     ) -> "AcdParams":
         """Build params with the canonical skew unit; the twist defaults to
         that same element (the choice that always yields the MDS property)."""
@@ -361,7 +360,7 @@ def delta_value(params: AcdParams) -> Elem:
     return term1 + term2
 
 
-@dataclass(frozen=True)
+@record
 class AcdVerdicts:
     """Both routes to the complementary-dual decision.
 
@@ -371,11 +370,11 @@ class AcdVerdicts:
     Tr(gamma) != 0, 'singular_m' when the Hankel block is singular)."""
 
     matrix_ok: bool
-    structured_ok: Optional[bool]
-    structured_reason: Optional[str]
+    structured_ok: bool | None
+    structured_reason: str | None
     det_t: Elem
-    det_g0: Optional[Elem] = None
-    delta: Optional[Elem] = None
+    det_g0: Elem | None = None
+    delta: Elem | None = None
 
     def __iter__(self):
         yield self.matrix_ok
@@ -487,7 +486,7 @@ def min_distance_oracle(
     )
 
 
-@dataclass(frozen=True)
+@record
 class RootProductResult:
     """Outcome of prescribing k roots to a fully twisted codeword.
 
@@ -498,7 +497,7 @@ class RootProductResult:
 
     forced_a0: Elem
     exists: bool
-    member: Optional[tuple]
+    member: tuple | None
 
 
 def root_product_check(params: AcdParams, roots, a_k) -> RootProductResult:
@@ -602,7 +601,7 @@ def lambda_search(
         )
     scanned = 0
 
-    def finish(lambda_set) -> Optional[AcdParams]:
+    def finish(lambda_set) -> AcdParams | None:
         params = AcdParams.make(tower, k, lambda_set)
         verdicts = acd_check(params)
         certifiable = verdicts.matrix_ok and verdicts.structured_ok in (True, None)
@@ -664,7 +663,7 @@ def delta_identity_check(params: AcdParams) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AcdReport:
     """Everything a certification run produces for one parameter set."""
 
@@ -676,14 +675,14 @@ class AcdReport:
     m_block: Mat
     w_vec: list
     p2k: Elem
-    delta: Optional[Elem]
+    delta: Elem | None
     acd_by_matrix: bool
-    acd_by_structured: Optional[bool]
-    structured_reason: Optional[str]
+    acd_by_structured: bool | None
+    structured_reason: str | None
     mds_by_criterion: bool
-    acd_by_oracle: Optional[bool] = None
-    hull_dim: Optional[int] = None
-    min_distance: Optional[int] = None
+    acd_by_oracle: bool | None = None
+    hull_dim: int | None = None
+    min_distance: int | None = None
 
     def to_dict(self) -> dict:
         p = self.params

@@ -12,14 +12,9 @@ invalid configuration, 3 enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import json
 import os
-import random
 import sys
 
-from . import acd, tlrs
 from .errors import (
     BadParamsError,
     BadTowerError,
@@ -29,7 +24,6 @@ from .errors import (
     TooLargeError,
 )
 from .fields import FieldTower, split_items
-from .skew import QuotientCtx
 
 ENV_MAX_ENUM = "SUMRANK_MAX_ENUM"
 ENV_MAX_HULL = "SUMRANK_MAX_HULL"
@@ -53,8 +47,13 @@ class Emitter:
 
     def emit(self, record: dict):
         if self.fmt == "json":
+            import json
+
             self.stream.write(json.dumps(record) + "\n")
         elif self.fmt == "csv":
+            import csv
+            import json
+
             flat = {
                 k: v
                 for k, v in record.items()
@@ -80,16 +79,25 @@ class Emitter:
 
 
 def _guard(args, name: str, env: str, default: int) -> int:
+    """The guard from its option, else its environment variable, else the
+    default; a negative or non-integer value is a configuration error."""
     value = getattr(args, name, None)
     if value is not None:
-        return value
+        return _non_negative(value, "--" + name.replace("_", "-"))
     if env in os.environ:
         raw = os.environ[env]
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise BadParamsError(f"{env} must be an integer, got {raw!r}") from None
+        return _non_negative(value, env)
     return default
+
+
+def _non_negative(value: int, source: str) -> int:
+    if value < 0:
+        raise BadParamsError(f"{source} must not be negative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +110,10 @@ def _tower(args, r=None) -> FieldTower:
 
 
 def cmd_tlrs_build(args) -> int:
+    from . import tlrs
+    from .skew import QuotientCtx
+
+    max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, tlrs.DEFAULT_MAX_ENUMERATION)
     tower = _tower(args)
     ctx = QuotientCtx.build(tower, args.ell)
     params = tlrs.TlrsParams(ctx, args.k, args.h, tower.parse_top(args.eta))
@@ -109,7 +121,6 @@ def cmd_tlrs_build(args) -> int:
     report = tlrs.gram(code, with_oracle=not args.no_oracle)
     record = report.to_dict(params)
     if args.with_distance:
-        max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, tlrs.DEFAULT_MAX_ENUMERATION)
         record["min_sum_rank_distance"] = tlrs.min_sum_rank_distance(
             code, max_enumeration=max_enum
         )
@@ -139,6 +150,9 @@ def _tlrs_flat_record(params, report) -> dict:
 
 
 def cmd_tlrs_sweep(args) -> int:
+    from . import tlrs
+    from .skew import QuotientCtx
+
     tower = _tower(args)
     ctx = QuotientCtx.build(tower, args.ell)
     k_values = (
@@ -171,6 +185,8 @@ def cmd_tlrs_sweep(args) -> int:
 
 
 def cmd_acd_build(args) -> int:
+    from . import acd
+
     tower = _tower(args, r=2)
     lam = [tower.parse_mid(tok) for tok in split_items(args.lam) if tok.strip()]
     gamma = tower.parse_top(args.gamma) if args.gamma else None
@@ -189,6 +205,9 @@ def cmd_acd_build(args) -> int:
 
 
 def cmd_acd_search(args) -> int:
+    from . import acd
+    from ._record import replace
+
     max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, acd.DEFAULT_MAX_ENUMERATION)
     max_hull = _guard(args, "max_hull", ENV_MAX_HULL, acd.DEFAULT_MAX_HULL)
     tower = _tower(args, r=2)
@@ -199,7 +218,7 @@ def cmd_acd_search(args) -> int:
             dist = acd.min_distance_oracle(params, max_enumeration=max_enum)
         except TooLargeError:
             dist = None
-        report = dataclasses.replace(report, min_distance=dist)
+        report = replace(report, min_distance=dist)
     record = report.to_dict()
     record["strategy"] = args.strategy
     Emitter(args.format).emit(record)
@@ -210,6 +229,11 @@ def cmd_acd_search(args) -> int:
 
 
 def cmd_acd_sweep(args) -> int:
+    import random
+
+    from . import acd
+
+    count = _non_negative(args.count, "--count")
     tower = _tower(args, r=2)
     rng = random.Random(args.seed)
     units = list(tower.mid_units())
@@ -223,7 +247,7 @@ def cmd_acd_sweep(args) -> int:
             f" hull guard / 2 = {max_hull // 2}, --max-ell = {args.max_ell})"
         )
     disagreements = 0
-    for i in range(args.count):
+    for i in range(count):
         ell = rng.randint(2, max_ell)
         k = rng.randint(1, ell - 1)
         lam = tuple(rng.sample(units, ell))
@@ -259,6 +283,9 @@ def cmd_acd_sweep(args) -> int:
 
 
 def cmd_verify_examples(args) -> int:
+    from . import acd, tlrs
+    from .skew import QuotientCtx
+
     checks = []
 
     tower = FieldTower(5, 1, 2)

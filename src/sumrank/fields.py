@@ -221,6 +221,8 @@ def _default_modulus(ops, elements, degree):
 
 
 def _parse_int(token: str, text: str) -> int:
+    if token in ("", "-"):
+        raise ValueError(f"cannot parse field element {text!r}: a term is empty")
     try:
         return int(token)
     except ValueError:
@@ -817,23 +819,26 @@ class FieldTower:
         if self.m != 1:
             raise ValueError("textual element syntax requires m = 1; use [..] lists")
         coords = [0] * self.r
-        terms = text.replace("-", "+-")
-        if terms.startswith("+"):
-            terms = terms[1:]
-        for term in terms.split("+"):
-            if not term:
-                continue
+        # a term starts at each sign, except at the sign of an exponent
+        cuts = [i for i, ch in enumerate(text) if ch in "+-" and i and text[i - 1] != "^"]
+        for start, end in zip([0, *cuts], [*cuts, len(text)]):
+            term = text[start:end].removeprefix("+")
             if "u" in term:
                 head, _, tail = term.partition("u")
-                power = _parse_int(tail[1:], text) if tail.startswith("^") else 1
+                if tail and not tail.startswith("^"):
+                    raise ValueError(f"cannot parse field element {text!r}: {term!r} is not c*u^e")
+                power = _parse_int(tail[1:], text) if tail else 1
                 if head in ("", "-"):
                     head += "1"
                 coeff = _parse_int(head, text)
             else:
                 power = 0
                 coeff = _parse_int(term, text)
-            if power >= self.r:
-                raise ValueError(f"u^{power} exceeds extension degree r = {self.r}")
+            if not 0 <= power < self.r:
+                raise ValueError(
+                    f"cannot parse field element {text!r}: u^{power} is outside"
+                    f" u^0 .. u^{self.r - 1}"
+                )
             coords[power] = (coords[power] + coeff) % self.p
         return self.top([[c] + [0] * (self.m - 1) for c in coords])
 

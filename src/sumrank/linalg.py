@@ -13,9 +13,9 @@ only for returned values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 
+from ._record import record
 from .errors import (
     AmbientMismatchError,
     BadParamsError,
@@ -163,7 +163,7 @@ def _coords_of(rows, tower: FieldTower, level: str) -> list[list]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A subspace of the row space F^ambient_dim, held as an RREF basis."""
 

@@ -18,8 +18,7 @@ lambda_i^j, the subgroup-power rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import BadParamsError, BlockOutOfRangeError
 from .fields import MID, Elem, FieldTower
 from . import linalg
@@ -259,7 +258,7 @@ def evaluate_at_point(f: SkewPoly, alpha: Elem) -> ThetaPoly:
     return ThetaPoly(tower, out)
 
 
-@dataclass(frozen=True)
+@record
 class SumRankVector:
     """One theta-polynomial per evaluation block."""
 
@@ -287,7 +286,7 @@ def sum_rank_weight(v: SumRankVector) -> int:
     return sum(theta_rank(t) for t in v.parts)
 
 
-@dataclass(frozen=True)
+@record
 class QuotientCtx:
     """The quotient of L[X; theta] by the central subgroup modulus.
 

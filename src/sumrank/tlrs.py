@@ -16,11 +16,8 @@ with C-perp the kernel of the code's form values on the ambient basis.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Optional
-
 from . import linalg
+from ._record import record, replace
 from .errors import BadParamsError
 from .fields import MID, TOP, Elem, FieldTower
 from .linalg import Mat
@@ -29,7 +26,7 @@ from .skew import QuotientCtx, SkewPoly
 DEFAULT_MAX_ENUMERATION = 10**6
 
 
-@dataclass(frozen=True)
+@record
 class TlrsParams:
     """Parameters (k, h, eta) over a quotient context.
 
@@ -56,7 +53,7 @@ class TlrsParams:
             raise BadParamsError("eta must be a nonzero element of L")
 
 
-@dataclass(frozen=True)
+@record
 class TlrsCode:
     """A built code: the kr basis residues and the L/K basis they ride on.
 
@@ -110,7 +107,7 @@ def lambda_form(f: SkewPoly, g: SkewPoly, ctx: QuotientCtx) -> Elem:
     return tower.trace(acc)
 
 
-@dataclass(frozen=True)
+@record
 class GramReport:
     """Gram matrix of the code basis plus both certification verdicts."""
 
@@ -120,10 +117,10 @@ class GramReport:
     b_block: Mat
     alpha_value: Elem
     lcd_by_criterion: bool
-    lcd_by_oracle: Optional[bool] = None
-    hull_dim: Optional[int] = None
+    lcd_by_oracle: bool | None = None
+    hull_dim: int | None = None
 
-    def to_dict(self, params: Optional[TlrsParams] = None) -> dict:
+    def to_dict(self, params: TlrsParams | None = None) -> dict:
         out = {"schema": 1, "kind": "tlrs"}
         if params is not None:
             ctx = params.ctx
@@ -206,7 +203,7 @@ def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
     )
     if with_oracle:
         hull = hull_oracle(code)
-        report = dataclasses.replace(
+        report = replace(
             report, lcd_by_oracle=(hull == 0), hull_dim=hull
         )
     return report

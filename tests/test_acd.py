@@ -644,4 +644,5 @@ def test_build_report_computes_matrices_once(f169, monkeypatch):
     params = acd.AcdParams.make(f169, 1, [1, 2, 3, 4])
     report = acd.build_report(params, with_oracle=True, with_distance=True)
     assert report.delta is not None and report.min_distance is not None
-    assert all(n <= 1 for n in calls.values()), calls
+    assert report.generator is params._generator and report.t_mat is params._t
+    assert calls == {"generator_matrix": 1, "t_matrix": 1, "power_sums": 1}

@@ -1,5 +1,6 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -125,6 +126,7 @@ def test_acd_sweep_agrees(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 40
     assert all(row["agree"] for row in rows)
+    assert run_cli(capsys, ["acd-sweep", "--p", "5", "--count", "0"]) == (0, "")
 
 
 def test_csv_format(capsys):
@@ -178,8 +180,24 @@ def test_bad_input_names_the_input(capsys, monkeypatch):
         ({}, ["verify-paper-examples", "--format", "json"], "--format"),
         ({}, ["verify-paper-examples", "--max-enum", "9"], "--max-enum"),
         ({}, ["verify-paper-examples", "--max-hull", "64"], "--max-hull"),
+        # negative counts and guards, from options or the environment
+        ({}, ["acd-sweep", "--p", "13", "--count", "-1"],
+         "invalid configuration: --count must not be negative"),
+        ({}, EXAMPLE_BUILD + ["--with-distance", "--max-enum", "-5"],
+         "invalid configuration: --max-enum must not be negative"),
+        ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3", "--max-hull", "-1"],
+         "invalid configuration: --max-hull must not be negative"),
+        ({}, ["acd-search", "--p", "5", "--k", "1", "--ell", "3", "--max-enum", "-1"],
+         "invalid configuration: --max-enum must not be negative"),
+        ({"SUMRANK_MAX_ENUM": "-1"}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3"],
+         "invalid configuration: SUMRANK_MAX_ENUM must not be negative"),
+        ({"SUMRANK_MAX_HULL": "-2"}, ["acd-sweep", "--p", "5", "--count", "1"],
+         "invalid configuration: SUMRANK_MAX_HULL must not be negative"),
+        ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3", "--gamma", "1+"],
+         "invalid configuration: cannot parse field element '1+'"),
     ]
     for env, argv, named, *exit_code in cases:
+        monkeypatch.delenv("SUMRANK_MAX_ENUM", raising=False)
         monkeypatch.delenv("SUMRANK_MAX_HULL", raising=False)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -274,3 +292,50 @@ def test_search_with_tripped_distance_guard_builds_report_once(capsys, monkeypat
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "bf300c913e3cd026a0b4233e1b2d70b70b31713b751ccac7546a601840a1fefe"
     )
+
+
+FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import sumrank.cli
+imported = set(sys.modules) - before
+code = sumrank.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+ran = set(sys.modules) - before
+sys.stderr.write(repr((sorted(imported), sorted(ran), code)))
+"""
+
+
+def _footprint(*argv):
+    """(modules `import sumrank.cli` loads, modules loaded once argv ran,
+    exit code), in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SUMRANK_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
+def test_cli_import_loads_only_what_the_subcommand_runs():
+    """Each call is a fresh interpreter, so every module it imports is paid
+    for on every call: the CLI imports the code layers a subcommand needs
+    only when it runs, and no part of the package imports the standard
+    library's record generator or its inspection modules."""
+    imported, _, _ = _footprint()
+    assert {m for m in imported if m.startswith("sumrank")} == {
+        "sumrank", "sumrank.cli", "sumrank.errors", "sumrank.fields"
+    }
+    for name in ("dataclasses", "inspect", "json", "csv", "sumrank.acd", "sumrank.skew",
+                 "sumrank.tlrs"):
+        assert name not in imported, name
+    _, ran, code = _footprint(*EXAMPLE_BUILD)
+    assert code == 0
+    assert "sumrank.tlrs" in ran and "sumrank.acd" not in ran
+    _, ran, code = _footprint("acd-build", "--p", "5", "--k", "1", "--lambda", "2,3")
+    assert code == 0
+    assert "sumrank.acd" in ran
+    assert "sumrank.skew" not in ran and "sumrank.tlrs" not in ran
+    assert "dataclasses" not in ran and "inspect" not in ran

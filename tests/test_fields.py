@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -320,3 +321,20 @@ def test_rejects_reducible_modulus():
         FieldTower(5, 1, 2, top_modulus=[[4], [0], [1]])  # x^2 - 1 splits
     with pytest.raises(BadTowerError):
         FieldTower(4, 1, 2)  # 4 is not prime
+
+
+def test_parse_top_signed_terms(f25):
+    assert f25.parse_top("3-2u") == f25.top([3, 3])
+    assert f25.parse_top("-u") == f25.top([0, 4])
+    assert f25.parse_top("+2u") == f25.top([0, 2])
+    assert f25.parse_top("u^0") == f25.top(1)
+    assert f25.parse_top("2u+3u") == f25.top(0)
+    assert f25.parse_top("-2-3u^1") == f25.top([3, 2])
+
+
+def test_parse_top_names_the_text_of_an_empty_term(f25):
+    """A term the text leaves empty is an error naming the text, not a term
+    silently dropped or a complaint about an empty integer."""
+    for text in ("1+", "1++2u", "+", "-", "", "1-", "1+u^", "+-2u", "1+2u^-1", "2u3", "u^2"):
+        with pytest.raises(ValueError, match=re.escape(f"element {text!r}")):
+            f25.parse_top(text)

@@ -1,0 +1,98 @@
+"""The package surface: lazily resolved exports and the immutable records."""
+
+import importlib
+
+import pytest
+
+import sumrank
+from sumrank import acd, tlrs
+from sumrank._record import replace
+from sumrank.errors import BadParamsError
+from sumrank.skew import QuotientCtx
+
+
+def test_every_export_is_the_submodules_own_object():
+    assert len(sumrank.__all__) == 40
+    listed = dir(sumrank)
+    for name, module in sumrank._EXPORTS.items():
+        assert getattr(sumrank, name) is getattr(
+            importlib.import_module(f"sumrank.{module}"), name
+        ), name
+        assert name in listed, name
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from sumrank import *", namespace)
+    assert set(sumrank.__all__) <= set(namespace)
+    assert namespace["acd_check"] is acd.acd_check
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sumrank.no_such_name
+    with pytest.raises(ImportError):
+        exec("from sumrank import no_such_name", {})
+
+
+def test_export_follows_a_swapped_submodule_attribute(monkeypatch):
+    """Exports are looked up on every read, so a wrapper put on the
+    submodule is what the package hands out, and the original is back once
+    the wrapper is removed."""
+    original = acd.acd_check
+    assert sumrank.acd_check is original
+
+    def wrapped(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(acd, "acd_check", wrapped)
+    assert sumrank.acd_check is wrapped
+    monkeypatch.undo()
+    assert sumrank.acd_check is original
+
+
+@pytest.fixture
+def params25(f25):
+    return tlrs.TlrsParams(QuotientCtx.build(f25, 2), 1, 0, f25.parse_top("2+1u"))
+
+
+def test_records_are_immutable(params25):
+    with pytest.raises(AttributeError):
+        params25.k = 2
+    with pytest.raises(AttributeError):
+        del params25.k
+    with pytest.raises(AttributeError):
+        params25.extra = 1
+    assert params25.k == 1
+
+
+def test_records_compare_and_hash_fieldwise(f25, params25):
+    same = tlrs.TlrsParams(ctx=params25.ctx, k=1, h=0, eta=f25.parse_top("2+1u"))
+    assert same == params25 and hash(same) == hash(params25)
+    assert replace(params25, eta=f25.parse_top("1+1u")) != params25
+    assert params25 != (params25.ctx, 1, 0, params25.eta)
+    assert repr(same) == repr(params25)
+    assert repr(same).startswith("TlrsParams(ctx=QuotientCtx(tower=FieldTower(")
+
+
+def test_record_defaults_and_arguments(params25):
+    report = tlrs.gram(tlrs.build_code(params25))
+    assert (report.lcd_by_oracle, report.hull_dim) == (None, None)
+    checked = replace(report, lcd_by_oracle=True, hull_dim=0)
+    assert (checked.lcd_by_oracle, checked.hull_dim) == (True, 0)
+    assert checked.gram is report.gram
+    with pytest.raises(TypeError, match="missing the field 'eta'"):
+        tlrs.TlrsParams(params25.ctx, 1, 0)
+    with pytest.raises(TypeError):
+        tlrs.TlrsParams(params25.ctx, 1, 0, params25.eta, 5)
+    with pytest.raises(TypeError):
+        tlrs.TlrsParams(params25.ctx, 1, k=1, eta=params25.eta)
+    with pytest.raises(TypeError):
+        replace(params25, kk=2)
+
+
+def test_record_validation_runs_on_construction_and_replace(params25):
+    with pytest.raises(BadParamsError, match="k = 9"):
+        tlrs.TlrsParams(params25.ctx, 9, 0, params25.eta)
+    with pytest.raises(BadParamsError, match="k = 9"):
+        replace(params25, k=9)
+    with pytest.raises(BadParamsError, match="h = 2"):
+        replace(params25, h=2)
+
