@@ -188,7 +188,7 @@ def cmd_acd_build(args) -> int:
     from . import acd
 
     tower = _tower(args, r=2)
-    lam = [tower.parse_mid(tok) for tok in split_items(args.lam) if tok.strip()]
+    lam = [tower.parse_mid(tok) for tok in split_items(args.lam)]
     gamma = tower.parse_top(args.gamma) if args.gamma else None
     params = acd.AcdParams.make(tower, args.k, lam, gamma)
     max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, acd.DEFAULT_MAX_ENUMERATION)

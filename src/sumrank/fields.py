@@ -231,9 +231,10 @@ def _parse_int(token: str, text: str) -> int:
         ) from None
 
 
-def split_items(text: str) -> list:
+def split_items(text: str, given: str = "") -> list:
     """Split ``text`` on the commas outside [..] brackets; a token whose
-    brackets do not balance raises ValueError naming it."""
+    brackets do not balance raises ValueError naming it, and an empty item
+    one naming ``given``, the text as the user gave it (default ``text``)."""
     tokens = []
     for part in text.split(","):
         if tokens and tokens[-1].count("[") > tokens[-1].count("]"):
@@ -243,6 +244,8 @@ def split_items(text: str) -> list:
     for tok in tokens:
         if tok.count("[") != tok.count("]"):
             raise ValueError(f"unbalanced brackets in {tok.strip()!r}")
+        if not tok.strip():
+            raise ValueError(f"cannot parse field element {given or text!r}: an item is empty")
     return tokens
 
 
@@ -251,7 +254,7 @@ def _list_items(text: str) -> list:
     if not text.endswith("]"):
         raise ValueError(f"cannot parse field element {text!r}: a list must end with ']'")
     body = text[1:-1]
-    return split_items(body) if body.strip() else []
+    return split_items(body, text) if body.strip() else []
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +464,8 @@ class FieldTower:
 
         self._skew_unit = None  # lazily located on first request
 
-        # theta^h images of the power basis: _frob[h][t] = (u^t)^(q^h)
+        # theta^h images of the power basis: _frob[h][t] = (u^t)^(q^h), as
+        # coordinates; the coordinate kernels of skew and tlrs read it too
         u = self.top([0, 1] + [0] * (r - 2)) if r > 1 else self.top_one()
         self._frob: list[list[tuple]] = []
         for h in range(r):
@@ -661,19 +665,23 @@ class FieldTower:
         """theta^h(x) = x^(q^h) for x in L; fixes F_q pointwise."""
         if x.level != TOP:
             raise LevelMismatchError("frobenius acts on top-level elements")
+        return Elem(self, TOP, self._theta(x.coords, h))
+
+    def _theta(self, x: tuple, h: int) -> tuple:
+        """theta^h on the coordinates of a top element: sum_t x_t theta^h(u^t)."""
         h %= self.r
         if h == 0:
             return x
         table = self._frob[h]
         zero = self._mid_ops.zero
         acc = self._top_ops.zero
-        for t, c in enumerate(x.coords):
+        for t, c in enumerate(x):
             if c != zero:
                 img = table[t]
                 acc = self._top_add(
                     acc, tuple(self._mid_mul(c, part) for part in img)
                 )
-        return Elem(self, TOP, acc)
+        return acc
 
     def trace(self, x: Elem) -> Elem:
         """Tr_{L|F_q}(x) = sum of theta^h(x), returned at mid level."""

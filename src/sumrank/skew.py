@@ -14,14 +14,46 @@ residues of degree below ell*r: X^r acts on block i as multiplication by
 lambda_i = N(alpha_i), which kills the factor X^r - lambda_i, so the map
 is well defined on the quotient, and on block powers X^(j*r) it acts as
 lambda_i^j, the subgroup-power rule.
+
+The kernels compute on coordinates (``FieldTower.coord_ops`` and the
+Frobenius table), building elements only for returned values, and check
+once per call that their operands share a tower.
 """
 
 from __future__ import annotations
 
 from ._record import record
-from .errors import BadParamsError, BlockOutOfRangeError
-from .fields import MID, Elem, FieldTower
+from .errors import BadParamsError, BlockOutOfRangeError, LevelMismatchError
+from .fields import MID, TOP, Elem, FieldTower
 from . import linalg
+
+
+def _check_tower(tower: FieldTower, other) -> None:
+    if other.tower is not tower:
+        raise LevelMismatchError("operands belong to different towers")
+
+
+def _of_coords(cls, tower: FieldTower, coords):
+    """The SkewPoly or ThetaPoly whose coefficients have the given
+    coordinates, which the caller has trimmed or sized."""
+    out = cls.__new__(cls)
+    out.tower, out.coeffs = tower, tuple(Elem(tower, TOP, c) for c in coords)
+    return out
+
+
+def _convolve(tower: FieldTower, f, g) -> list:
+    """Coordinates of the twisted convolution sum_{i+j=n} f_i theta^i(g_j)
+    of two coefficient sequences, twisting g once per residue of i mod r."""
+    ops = tower.coord_ops(TOP)
+    out = [ops.zero] * (len(f) + len(g) - 1)
+    twisted = {}
+    for i, a in enumerate(f):
+        if a and i % tower.r not in twisted:
+            twisted[i % tower.r] = [tower._theta(b.coords, i) for b in g]
+        for j, b in enumerate(twisted[i % tower.r] if a else ()):
+            if b != ops.zero:
+                out[i + j] = ops.add(out[i + j], ops.mul(a.coords, b))
+    return out
 
 
 class SkewPoly:
@@ -91,19 +123,12 @@ class SkewPoly:
         return SkewPoly(self.tower, [-c for c in self.coeffs])
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
-        """Twisted convolution: (fg)_n = sum_{i+j=n} f_i theta^i(g_j)."""
+        """Twisted convolution: (fg)_n = sum_{i+j=n} f_i theta^i(g_j); the
+        leading coefficients multiply to a nonzero one, so nothing trims."""
+        _check_tower(self.tower, other)
         if not self or not other:
             return SkewPoly.zero(self.tower)
-        tower = self.tower
-        zero = tower.top_zero()
-        out = [zero] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * tower.frobenius(b, i)
-        return SkewPoly(tower, out)
+        return _of_coords(SkewPoly, self.tower, _convolve(self.tower, self.coeffs, other.coeffs))
 
     def __str__(self):
         if not self.coeffs:
@@ -133,15 +158,11 @@ def build_h_lambda(tower: FieldTower, lambdas) -> SkewPoly:
         if lam.coords in seen:
             raise BadParamsError("lambda values must be distinct")
         seen.add(lam.coords)
+    ops = tower.coord_ops(TOP)
     acc = SkewPoly.one(tower)
     for lam in lambdas:
-        factor = SkewPoly(
-            tower,
-            [-tower.top(lam)]
-            + [tower.top_zero()] * (tower.r - 1)
-            + [tower.top_one()],
-        )
-        acc = acc * factor
+        factor = [ops.neg(tower.top(lam).coords)] + [ops.zero] * (tower.r - 1) + [ops.one]
+        acc = acc * _of_coords(SkewPoly, tower, factor)
     if not all(tower.in_mid_subfield(c) for c in acc.coeffs):
         raise BadParamsError("modulus coefficients left F_q; lambdas invalid")
     return acc
@@ -187,44 +208,32 @@ class ThetaPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "ThetaPoly") -> "ThetaPoly":
-        return ThetaPoly(self.tower, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "ThetaPoly") -> "ThetaPoly":
-        return ThetaPoly(self.tower, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def apply(self, x: Elem) -> Elem:
-        acc = self.tower.top_zero()
-        for j, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * self.tower.frobenius(x, j)
-        return acc
-
     def compose(self, other: "ThetaPoly") -> "ThetaPoly":
-        """self after other, folded back into L[theta]."""
+        """self after other: their twisted convolution, folded back into
+        L[theta] by theta^r = 1."""
         tower = self.tower
-        r = tower.r
-        out = [tower.top_zero()] * r
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    k = (i + j) % r
-                    out[k] = out[k] + a * tower.frobenius(b, i)
-        return ThetaPoly(tower, out)
+        _check_tower(tower, other)
+        ops = tower.coord_ops(TOP)
+        out = [ops.zero] * tower.r
+        for n, c in enumerate(_convolve(tower, self.coeffs, other.coeffs)):
+            out[n % tower.r] = ops.add(out[n % tower.r], c)
+        return _of_coords(ThetaPoly, tower, out)
 
     def matrix(self) -> linalg.Mat:
-        """Matrix over F_q of the map in the power basis {1, u, .., u^(r-1)}."""
-        tower = self.tower
-        r = tower.r
-        cols = []
-        for t in range(r):
-            basis_vec = tower.top([0] * t + [1] + [0] * (r - 1 - t))
-            image = self.apply(basis_vec)
-            cols.append([Elem(tower, MID, part) for part in image.coords])
-        rows = [[cols[t][s] for t in range(r)] for s in range(r)]
-        return linalg.Mat.from_rows(rows, tower=tower, level=MID, cols=r)
+        """Matrix over F_q of the map in the power basis {1, u, .., u^(r-1)}:
+        column t holds the coordinates of sum_j c_j theta^j(u^t), with
+        theta^j(u^t) read from the tower's Frobenius table (theta^j(1) = 1
+        takes no product)."""
+        tower, r = self.tower, self.tower.r
+        ops = tower.coord_ops(TOP)
+        cols = [ops.zero] * r
+        for j, c in enumerate(self.coeffs):
+            if c:
+                for t, image in enumerate(tower._frob[j]):
+                    term = c.coords if image == ops.one else ops.mul(c.coords, image)
+                    cols[t] = ops.add(cols[t], term)
+        rows = [[Elem(tower, MID, col[s]) for col in cols] for s in range(r)]
+        return linalg.Mat(tower, MID, r, r, rows)
 
     def coords_mid(self) -> list[Elem]:
         """K-coordinates: r tuples of r residues, flattened."""
@@ -243,19 +252,23 @@ def theta_rank(t: ThetaPoly) -> int:
 
 
 def evaluate_at_point(f: SkewPoly, alpha: Elem) -> ThetaPoly:
-    """Operator value of f at alpha: X^j acts as
-    alpha theta(alpha) .. theta^(j-1)(alpha) * theta^j, folded mod r."""
+    """Operator value of f at alpha: X^j acts as the partial norm product
+    N_j = alpha theta(alpha) .. theta^(j-1)(alpha) times theta^j, folded
+    mod r (N_0 = 1 and N_1 = alpha take no product)."""
     tower = f.tower
-    r = tower.r
-    alpha_frobs = [tower.frobenius(alpha, s) for s in range(r)]
-    out = [tower.top_zero()] * r
-    norm_prod = tower.top_one()
+    _check_tower(tower, alpha)
+    if alpha.level != TOP:
+        raise LevelMismatchError("evaluation points are top-level elements")
+    ops = tower.coord_ops(TOP)
+    out = [ops.zero] * tower.r
+    norm = alpha = alpha.coords
     for j, fj in enumerate(f.coeffs):
+        if j > 1:
+            norm = ops.mul(norm, tower._theta(alpha, j - 1))
         if fj:
-            k = j % r
-            out[k] = out[k] + fj * norm_prod
-        norm_prod = norm_prod * alpha_frobs[j % r]
-    return ThetaPoly(tower, out)
+            term = ops.mul(fj.coords, norm) if j else fj.coords
+            out[j % tower.r] = ops.add(out[j % tower.r], term)
+    return _of_coords(ThetaPoly, tower, out)
 
 
 @record
@@ -326,22 +339,22 @@ class QuotientCtx:
 
     def reduce(self, f: SkewPoly) -> SkewPoly:
         """Residue representative of degree < ell*r (left division by the
-        monic central modulus; centrality makes left and right agree)."""
-        tower = self.tower
-        d_mod = self.modulus_degree
-        rem = list(f.coeffs)
-        h = self.h_lambda.coeffs
-        while len(rem) - 1 >= d_mod:
-            lead = rem[-1]
-            k = len(rem) - 1 - d_mod
-            if lead:
-                for j, hj in enumerate(h):
-                    if hj:
-                        rem[k + j] = rem[k + j] - lead * tower.frobenius(hj, k)
-            rem.pop()
-            while rem and not rem[-1]:
-                rem.pop()
-        return SkewPoly(tower, rem)
+        monic central modulus; centrality makes left and right agree).
+        The modulus has its coefficients in F_q, which theta fixes, so each
+        step subtracts lead * h_j with no Frobenius."""
+        tower, d_mod = self.tower, self.modulus_degree
+        _check_tower(tower, f)
+        if len(f.coeffs) <= d_mod:
+            return f
+        ops = tower.coord_ops(TOP)
+        rem = [c.coords for c in f.coeffs]
+        h = [(j, hj.coords) for j, hj in enumerate(self.h_lambda.coeffs[:-1]) if hj]
+        for top in range(len(rem) - 1, d_mod - 1, -1):
+            if rem[top] != ops.zero:
+                for j, hj in h:
+                    k = top - d_mod + j
+                    rem[k] = ops.sub(rem[k], ops.mul(rem[top], hj))
+        return SkewPoly(tower, [Elem(tower, TOP, c) for c in rem[:d_mod]])
 
     # -- evaluation ------------------------------------------------------------
 
@@ -356,19 +369,6 @@ class QuotientCtx:
         """All ell block values of the residue of f."""
         f = self.reduce(f)
         return SumRankVector(tuple(self.evaluate(f, i) for i in range(1, self.ell + 1)))
-
-    # -- K-coordinates of residues ------------------------------------------------
-
-    def coords_of(self, f: SkewPoly) -> list[Elem]:
-        """Residue coordinates over F_q: coefficient i of X^i contributes its
-        r residues, little-endian, at slots i*r .. i*r + r - 1."""
-        f = self.reduce(f)
-        tower = self.tower
-        out = []
-        for i in range(self.modulus_degree):
-            c = f.coeff(i)
-            out.extend(Elem(tower, MID, part) for part in c.coords)
-        return out
 
     def ambient_basis(self):
         """The monomial K-basis u^t X^i of the residue space, in slot order."""

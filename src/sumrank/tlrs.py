@@ -12,12 +12,16 @@ here is certified twice: once through that closed form and once through a
 brute-force hull oracle that never touches the Gram matrix.  The oracle
 counts dim(C intersect C-perp) as rank C + dim C-perp - rank [C; C-perp],
 with C-perp the kernel of the code's form values on the ambient basis.
+Per code, each route reduces or evaluates each basis residue once and
+computes on coordinates, building elements only for returned values.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 from . import linalg
-from ._record import record, replace
+from ._record import record
 from .errors import BadParamsError
 from .fields import MID, TOP, Elem, FieldTower
 from .linalg import Mat
@@ -94,17 +98,25 @@ def lcd_criterion(params: TlrsParams) -> bool:
     return bool(tower.top_one() + params.eta * params.eta)
 
 
+def _trace(tower: FieldTower):
+    """Tr: L -> F_q on coordinates, F_q-linear: x -> sum_t x_t Tr(u^t).  The
+    images theta^h(u^t) in the Frobenius table sum over h to Tr(u^t) in F_q."""
+    ops = tower.coord_ops(MID)
+    row = [reduce(ops.add, (images[t][0] for images in tower._frob)) for t in range(tower.r)]
+    return lambda x: reduce(ops.add, map(ops.mul, x, row))
+
+
+def _pairing(tower: FieldTower, trace, f: SkewPoly, g: SkewPoly) -> tuple:
+    """Coordinates of Tr(sum_i f_i g_i) for reduced f and g."""
+    ops = tower.coord_ops(TOP)
+    products = (ops.mul(a.coords, b.coords) for a, b in zip(f.coeffs, g.coeffs) if a and b)
+    return trace(reduce(ops.add, products, ops.zero))
+
+
 def lambda_form(f: SkewPoly, g: SkewPoly, ctx: QuotientCtx) -> Elem:
     """<F, G> = Tr(sum_i f_i g_i) on the degree-reduced representatives."""
-    f = ctx.reduce(f)
-    g = ctx.reduce(g)
     tower = ctx.tower
-    acc = tower.top_zero()
-    for i in range(min(len(f.coeffs), len(g.coeffs))):
-        fi, gi = f.coeffs[i], g.coeffs[i]
-        if fi and gi:
-            acc = acc + fi * gi
-    return tower.trace(acc)
+    return Elem(tower, MID, _pairing(tower, _trace(tower), ctx.reduce(f), ctx.reduce(g)))
 
 
 @record
@@ -158,20 +170,14 @@ def gram_blocks(code: TlrsCode):
     B[t,u] = Tr(alpha b_t b_u) with alpha = theta^(-h)(1 + eta^2)."""
     params = code.params
     tower = params.ctx.tower
-    betas = code.k_basis_of_l
-    r = tower.r
-    alpha = tower.frobenius(
-        tower.top_one() + params.eta * params.eta, (-params.h) % r
-    )
-    m_rows = [
-        [tower.trace(bt * bu) for bu in betas] for bt in betas
-    ]
-    b_rows = [
-        [tower.trace(alpha * bt * bu) for bu in betas] for bt in betas
-    ]
-    m_block = Mat.from_rows(m_rows, tower=tower, level=MID, cols=r)
-    b_block = Mat.from_rows(b_rows, tower=tower, level=MID, cols=r)
-    return m_block, b_block, alpha
+    ops, trace, r = tower.coord_ops(TOP), _trace(tower), tower.r
+    eta = params.eta.coords
+    alpha = tower._theta(ops.add(ops.one, ops.mul(eta, eta)), -params.h)
+    products = [[ops.mul(bt.coords, bu.coords) for bu in code.k_basis_of_l]
+                for bt in code.k_basis_of_l]
+    m_rows = [[Elem(tower, MID, trace(x)) for x in row] for row in products]
+    b_rows = [[Elem(tower, MID, trace(ops.mul(alpha, x))) for x in row] for row in products]
+    return Mat(tower, MID, r, r, m_rows), Mat(tower, MID, r, r, b_rows), Elem(tower, TOP, alpha)
 
 
 def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
@@ -184,46 +190,28 @@ def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
     params = code.params
     ctx = params.ctx
     tower = ctx.tower
-    n = len(code.basis_polys)
+    trace = _trace(tower)
+    residues = [ctx.reduce(f) for f in code.basis_polys]
+    n = len(residues)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = lambda_form(code.basis_polys[i], code.basis_polys[j], ctx)
+            v = Elem(tower, MID, _pairing(tower, trace, residues[i], residues[j]))
             rows[i][j] = v
             rows[j][i] = v
-    gram_mat = Mat.from_rows(rows, tower=tower, level=MID, cols=n)
+    gram_mat = Mat(tower, MID, n, n, rows)
     m_block, b_block, alpha = gram_blocks(code)
-    report = GramReport(
+    hull = hull_oracle(code) if with_oracle else None
+    return GramReport(
         gram=gram_mat,
         det_value=linalg.det(gram_mat),
         m_block=m_block,
         b_block=b_block,
         alpha_value=alpha,
         lcd_by_criterion=lcd_criterion(params),
+        lcd_by_oracle=None if hull is None else hull == 0,
+        hull_dim=hull,
     )
-    if with_oracle:
-        hull = hull_oracle(code)
-        report = replace(
-            report, lcd_by_oracle=(hull == 0), hull_dim=hull
-        )
-    return report
-
-
-def _form_matrix(ctx: QuotientCtx) -> Mat:
-    """Matrix of the bilinear form on ambient K-coordinates: block diagonal
-    with one copy of the trace-form Gram of the power basis per X-slot."""
-    tower = ctx.tower
-    r = tower.r
-    betas = _power_basis(tower)
-    t0 = [[tower.trace(bs * bt) for bt in betas] for bs in betas]
-    n = ctx.ambient_dim
-    zero = tower.mid_zero()
-    rows = [[zero] * n for _ in range(n)]
-    for blk in range(ctx.modulus_degree):
-        for s in range(r):
-            for t in range(r):
-                rows[blk * r + s][blk * r + t] = t0[s][t]
-    return Mat.from_rows(rows, tower=tower, level=MID, cols=n)
 
 
 def hull_oracle(code: TlrsCode) -> int:
@@ -231,11 +219,28 @@ def hull_oracle(code: TlrsCode) -> int:
     code rows and their form values against the ambient basis, whose kernel
     is the dual; zero exactly for complementary-dual codes and equal to
     dim C for self-orthogonal ones.  The rows are the basis polynomials in
-    ambient residue coordinates."""
+    ambient residue coordinates.  The form is block diagonal, one copy of
+    the trace-form Gram t0 of the power basis per X-slot, so a row's form
+    values are its slots times t0, slot by slot."""
     ctx = code.params.ctx
-    rows = [ctx.coords_of(f) for f in code.basis_polys]
-    a = Mat.from_rows(rows, tower=ctx.tower, level=MID, cols=ctx.ambient_dim)
-    return linalg.meet_dim(a, a @ _form_matrix(ctx))
+    tower = ctx.tower
+    ops, mid, trace = tower.coord_ops(TOP), tower.coord_ops(MID), _trace(tower)
+    betas = [b.coords for b in _power_basis(tower)]
+    t0 = [[trace(ops.mul(bs, bt)) for bt in betas] for bs in betas]
+
+    def slot_form(c):
+        """The form values of one slot c: c times t0 (symmetric, so its rows
+        serve as columns); a zero slot pairs to zeros."""
+        return c if c == ops.zero else [reduce(mid.add, map(mid.mul, c, col)) for col in t0]
+
+    rows, pairings = [], []
+    for f in code.basis_polys:
+        coeffs = [c.coords for c in ctx.reduce(f).coeffs]
+        coeffs += [ops.zero] * (ctx.modulus_degree - len(coeffs))
+        rows.append([Elem(tower, MID, x) for c in coeffs for x in c])
+        pairings.append([Elem(tower, MID, x) for c in coeffs for x in slot_form(c)])
+    n, cols = len(rows), ctx.ambient_dim
+    return linalg.meet_dim(Mat(tower, MID, n, cols, rows), Mat(tower, MID, n, cols, pairings))
 
 
 def min_sum_rank_distance(
@@ -243,17 +248,28 @@ def min_sum_rank_distance(
 ) -> int:
     """Minimum sum-rank weight over the q^(kr) - 1 nonzero words.
 
-    Evaluation is F_q-linear, so the ell block matrices of each F_p-basis
-    word omega^s * b (b in the code basis, omega^s in the F_p-basis of F_q)
-    are built once; ``linalg.min_weight`` walks their F_p-combinations, and
-    a word's weight is the sum of its blocks' ranks.  The walk stops at the
-    first word of weight ``sum_rank_distance_floor``, so the result is
-    either that floor or the Singleton bound one above it.
+    Evaluation and ``ThetaPoly.matrix`` are F_q-linear, so each basis
+    residue b is evaluated once, and the ell block matrices of the F_p-basis
+    word omega^s * b (omega^s in the F_p-basis of F_q) are those of b with
+    every entry times omega^s.  ``linalg.min_weight`` walks their
+    F_p-combinations, and a word's weight is the sum of its blocks' ranks.
+    The walk stops at the first word of weight ``sum_rank_distance_floor``,
+    so the result is either that floor or the Singleton bound one above it.
     """
     ctx = code.params.ctx
     tower = ctx.tower
-    images = [[t.matrix() for t in ctx.eval_map(SkewPoly(tower, [w]) * b)]
-              for b in code.basis_polys for w in tower.mid_basis()]
+    mul = tower.coord_ops(MID).mul
+    omegas = [w.coords for w in tower.mid_basis()[1:]]  # omega^0 = 1 keeps b's blocks
+    images = []
+    for b in code.basis_polys:
+        blocks = [t.matrix() for t in ctx.eval_map(b)]
+        images.append(blocks)
+        for w in omegas:
+            images.append([
+                Mat(tower, MID, m.rows, m.cols,
+                    [[Elem(tower, MID, mul(w, e.coords)) for e in row] for row in m.entries])
+                for m in blocks
+            ])
     return linalg.min_weight(
         images,
         tower.p,

@@ -8,13 +8,16 @@ library ran on elements before it moved to coordinates; the determinant
 divides by each pivot as it goes, where the library's is fraction-free.
 The hull oracles intersect explicit RREF bases through the kernel of the
 stacked system, the route the library's oracles took before they counted
-dim(C intersect C-perp) from ranks alone (``linalg.meet_dim``).  The
-tests keep all of it as ground truth for the library.
+dim(C intersect C-perp) from ranks alone (``linalg.meet_dim``), and pair
+code rows with the dense matrix of the tlrs form, where the library pairs
+them slot by slot.  The tlrs form and Gram blocks are here on element
+operators too.  The tests keep all of it as ground truth for the library.
 """
 
+import skew_reference
 from sumrank import acd, tlrs
 from sumrank.errors import AmbientMismatchError, SingularLeadingBlockError
-from sumrank.fields import MID
+from sumrank.fields import MID, Elem
 from sumrank.linalg import Mat, Subspace
 
 
@@ -219,10 +222,38 @@ def acd_hull(params: acd.AcdParams) -> int:
     return meet_dim(acd.expanded_generator(params), pairing)
 
 
+def coords_of(ctx, f) -> list:
+    """Residue coordinates over F_q: coefficient i of X^i contributes its
+    r residues, little-endian, at slots i*r .. i*r + r - 1."""
+    f = ctx.reduce(f)
+    tower = ctx.tower
+    out = []
+    for i in range(ctx.modulus_degree):
+        out.extend(Elem(tower, MID, part) for part in f.coeff(i).coords)
+    return out
+
+
+def form_matrix(ctx) -> Mat:
+    """Matrix of the bilinear form on ambient K-coordinates: block diagonal
+    with one copy of the trace-form Gram of the power basis per X-slot."""
+    tower = ctx.tower
+    r = tower.r
+    betas = [tower.top([int(s == t) for s in range(r)]) for t in range(r)]
+    t0 = [[tower.trace(bs * bt) for bt in betas] for bs in betas]
+    n = ctx.ambient_dim
+    zero = tower.mid_zero()
+    rows = [[zero] * n for _ in range(n)]
+    for blk in range(ctx.modulus_degree):
+        for s in range(r):
+            for t in range(r):
+                rows[blk * r + s][blk * r + t] = t0[s][t]
+    return Mat.from_rows(rows, tower=tower, level=MID, cols=n)
+
+
 def _code_rows(code: tlrs.TlrsCode) -> Mat:
     ctx = code.params.ctx
     return Mat.from_rows(
-        [ctx.coords_of(f) for f in code.basis_polys],
+        [coords_of(ctx, f) for f in code.basis_polys],
         tower=ctx.tower,
         level=MID,
         cols=ctx.ambient_dim,
@@ -242,7 +273,7 @@ def dual_basis(code: tlrs.TlrsCode) -> Subspace:
     K-dimension ambient_dim - kr = ell*r^2 - kr.
     """
     a = _code_rows(code)
-    _, kernel = rank_kernel(matmul(a, tlrs._form_matrix(code.params.ctx)))
+    _, kernel = rank_kernel(matmul(a, form_matrix(code.params.ctx)))
     return kernel
 
 
@@ -250,7 +281,29 @@ def tlrs_hull(code: tlrs.TlrsCode) -> int:
     """The tlrs hull dimension: the code against the kernel of its form
     values on the ambient basis."""
     rows = _code_rows(code)
-    return meet_dim(rows, matmul(rows, tlrs._form_matrix(code.params.ctx)))
+    return meet_dim(rows, matmul(rows, form_matrix(code.params.ctx)))
+
+
+def lambda_form(f, g, ctx):
+    """Tr(sum_i f_i g_i) on the reference reductions, by element operators."""
+    f, g = skew_reference.reduce(ctx, f), skew_reference.reduce(ctx, g)
+    acc = ctx.tower.top_zero()
+    for fi, gi in zip(f.coeffs, g.coeffs):
+        acc = acc + fi * gi
+    return ctx.tower.trace(acc)
+
+
+def gram_blocks(code: tlrs.TlrsCode):
+    """M[t,u] = Tr(b_t b_u) and B[t,u] = Tr(alpha b_t b_u) with
+    alpha = theta^(-h)(1 + eta^2), by element operators."""
+    params = code.params
+    tower = params.ctx.tower
+    betas = code.k_basis_of_l
+    alpha = tower.frobenius(tower.top_one() + params.eta * params.eta, -params.h)
+    m_rows = [[tower.trace(bt * bu) for bu in betas] for bt in betas]
+    b_rows = [[tower.trace(alpha * bt * bu) for bu in betas] for bt in betas]
+    return (Mat.from_rows(m_rows, tower=tower, level=MID, cols=tower.r),
+            Mat.from_rows(b_rows, tower=tower, level=MID, cols=tower.r), alpha)
 
 
 def gram_assembled(code: tlrs.TlrsCode) -> Mat:

@@ -195,6 +195,13 @@ def test_bad_input_names_the_input(capsys, monkeypatch):
          "invalid configuration: SUMRANK_MAX_HULL must not be negative"),
         ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3", "--gamma", "1+"],
          "invalid configuration: cannot parse field element '1+'"),
+        # an empty list item is an error naming the text given, not a dropped item
+        ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3", "--gamma", "[1,,2]"],
+         "invalid configuration: cannot parse field element '[1,,2]': an item is empty"),
+        ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,,3"],
+         "invalid configuration: cannot parse field element '2,,3': an item is empty"),
+        ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3,"],
+         "invalid configuration: cannot parse field element '2,3,': an item is empty"),
     ]
     for env, argv, named, *exit_code in cases:
         monkeypatch.delenv("SUMRANK_MAX_ENUM", raising=False)

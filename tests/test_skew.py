@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skew_reference
 from sumrank import linalg
-from sumrank.errors import BadParamsError, BlockOutOfRangeError
-from sumrank.fields import MID, FieldTower
+from sumrank.errors import BadParamsError, BlockOutOfRangeError, LevelMismatchError
+from sumrank.fields import MID, Elem, FieldTower
 from sumrank.skew import (
     QuotientCtx,
     SkewPoly,
     SumRankVector,
     ThetaPoly,
     build_h_lambda,
+    evaluate_at_point,
     sum_rank_weight,
     theta_rank,
 )
+
+# (p, m, r) and ell of the property tests: m = 2 and r = 3 included
+PROPERTY_SHAPES = [((5, 1, 2), 4), ((3, 2, 2), 2), ((5, 1, 3), 2), ((7, 1, 3), 3)]
 
 
 def rand_skew(tower, rng, max_deg):
@@ -340,7 +345,7 @@ def _top_from_index(tower, index):
     return tower.top([digits[t * tower.m : (t + 1) * tower.m] for t in range(tower.r)])
 
 
-@pytest.mark.parametrize("shape,ell", [((5, 1, 2), 4), ((3, 2, 2), 2), ((5, 1, 3), 2)])
+@pytest.mark.parametrize("shape,ell", PROPERTY_SHAPES)
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(data=st.data())
 def test_eval_map_is_fq_linear(shape, ell, data):
@@ -364,3 +369,147 @@ def test_eval_map_is_fq_linear(shape, ell, data):
     combined = ctx.eval_map(SkewPoly(tower, [c]) * f + g)
     for got, a, b in zip(combined, ctx.eval_map(f), ctx.eval_map(g)):
         assert got == ThetaPoly(tower, [c * x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+# ---------------------------------------------------------------- properties
+
+
+def _draw_poly(data, tower, max_degree):
+    body = data.draw(st.lists(st.integers(0, tower.top_order - 1), max_size=max_degree + 1))
+    return SkewPoly(tower, [_top_from_index(tower, i) for i in body])
+
+
+def _draw_theta(data, tower):
+    body = data.draw(st.lists(
+        st.integers(0, tower.top_order - 1), min_size=tower.r, max_size=tower.r))
+    return ThetaPoly(tower, [_top_from_index(tower, i) for i in body])
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+
+
+@pytest.mark.parametrize("shape,ell", PROPERTY_SHAPES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_skew_products_associate_and_distribute(shape, ell, data):
+    tower = _linearity_ctx(shape, ell).tower
+    f, g, h = (_draw_poly(data, tower, 2 * tower.r) for _ in range(3))
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+
+
+@pytest.mark.parametrize("shape,ell", PROPERTY_SHAPES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_h_lambda_is_central(shape, ell, data):
+    ctx = _linearity_ctx(shape, ell)
+    f = _draw_poly(data, ctx.tower, ctx.modulus_degree + ctx.tower.r)
+    assert ctx.h_lambda * f == f * ctx.h_lambda
+
+
+@pytest.mark.parametrize("shape,ell", PROPERTY_SHAPES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_reduce_is_idempotent_and_kills_the_modulus(shape, ell, data):
+    ctx = _linearity_ctx(shape, ell)
+    n = ctx.modulus_degree
+    f, g = (_draw_poly(data, ctx.tower, n + 2 * ctx.tower.r) for _ in range(2))
+    red = ctx.reduce(f)
+    assert red.degree < n
+    assert ctx.reduce(red) == red
+    assert not ctx.reduce(ctx.h_lambda * g)
+    assert ctx.reduce(f + g * ctx.h_lambda) == red
+
+
+@pytest.mark.parametrize("shape,ell", PROPERTY_SHAPES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_eval_map_is_multiplicative(shape, ell, data):
+    ctx = _linearity_ctx(shape, ell)
+    f, g = (_draw_poly(data, ctx.tower, ctx.modulus_degree + ctx.tower.r) for _ in range(2))
+    for got, a, b in zip(ctx.eval_map(f * g), ctx.eval_map(f), ctx.eval_map(g)):
+        assert got == a.compose(b)
+
+
+@pytest.mark.parametrize("shape,ell", PROPERTY_SHAPES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_compose_matrix_is_the_matrix_product(shape, ell, data):
+    tower = _linearity_ctx(shape, ell).tower
+    a, b = _draw_theta(data, tower), _draw_theta(data, tower)
+    assert a.compose(b).matrix() == a.matrix() @ b.matrix()
+
+
+# ---------------------------------------------------------------- coordinate kernels
+
+
+def test_skew_kernels_make_no_elem_arithmetic(forbidden):
+    """With every arithmetic operator of Elem made to raise, the product,
+    reduction, evaluation, composition and block matrices still run, and
+    return what the element-operator reference returns, on every property
+    shape: operands above the modulus degree, so reduction takes part."""
+    rng = random.Random(44)
+    ops = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__pow__")
+    for shape, ell in PROPERTY_SHAPES:
+        ctx = _linearity_ctx(shape, ell)
+        tower = ctx.tower
+        n = ctx.modulus_degree
+        f, g = rand_skew(tower, rng, n + 1), rand_skew(tower, rng, n - 1)
+        alpha = _top_from_index(tower, rng.randrange(1, tower.top_order))
+        a, b = (ThetaPoly(tower, [_top_from_index(tower, rng.randrange(tower.top_order))
+                                  for _ in range(tower.r)]) for _ in range(2))
+        h_lambda = SkewPoly.one(tower)
+        for lam in ctx.lambdas:
+            factor = SkewPoly(tower, [-tower.top(lam)] + [0] * (tower.r - 1) + [1])
+            h_lambda = skew_reference.mul(h_lambda, factor)
+        expected = [
+            skew_reference.mul(f, g),
+            skew_reference.reduce(ctx, f),
+            skew_reference.eval_map(ctx, f),
+            skew_reference.evaluate_at_point(f, ctx.alphas[-1]),
+            skew_reference.evaluate_at_point(g, alpha),
+            skew_reference.matrix(a),
+            skew_reference.compose(a, b),
+            h_lambda,
+        ]
+        with forbidden(Elem, *ops):
+            with pytest.raises(AssertionError):
+                alpha * alpha
+            got = [
+                f * g,
+                ctx.reduce(f),
+                list(ctx.eval_map(f)),
+                ctx.evaluate(f, ell),
+                evaluate_at_point(g, alpha),
+                a.matrix(),
+                a.compose(b),
+                build_h_lambda(tower, ctx.lambdas),
+            ]
+        assert got == expected, shape
+
+
+def test_kernels_refuse_operands_of_another_tower(f25, f169):
+    """Mixing F_25 and F_169 operands raises LevelMismatchError, as the
+    element operators do, although both towers have p prime and r = 2."""
+    ctx25 = QuotientCtx.build(f25, 2)
+    ctx169 = QuotientCtx.build(f169, 2)
+    f = SkewPoly(f25, [f25.top([1, 2]), f25.top([3, 1])])
+    g = SkewPoly(f169, [f169.top([1, 2]), f169.top([3, 1])])
+    s = ThetaPoly(f25, [f25.top([1, 2]), f25.top([3, 1])])
+    t = ThetaPoly(f169, [f169.top([1, 2]), f169.top([3, 1])])
+    calls = [
+        lambda: f * g,
+        lambda: g * f,
+        lambda: s.compose(t),
+        lambda: t.compose(s),
+        lambda: ctx25.reduce(g),
+        lambda: ctx25.reduce(ctx169.h_lambda * g),
+        lambda: ctx25.eval_map(g),
+        lambda: ctx169.evaluate(f, 1),
+        lambda: evaluate_at_point(f, f169.top([1, 1])),
+        lambda: evaluate_at_point(f, f25.mid(2)),
+    ]
+    for call in calls:
+        with pytest.raises(LevelMismatchError):
+            call()

@@ -70,7 +70,7 @@ def test_membership_of_twisted_words(f25, ctx25, example_code):
     for _ in range(10):
         f0 = f25.top([rng.randrange(5), rng.randrange(5)])
         word = SkewPoly(f25, [f0]) + SkewPoly.monomial(f25, eta * f0, 1)
-        assert hull_reference.contains(space, ctx25.coords_of(word))
+        assert hull_reference.contains(space, hull_reference.coords_of(ctx25, word))
 
 
 def test_param_validation(f25, ctx25):
@@ -139,7 +139,7 @@ def test_form_symmetric_bilinear(f25, ctx25):
 
 
 def test_form_nondegenerate_on_ambient(f25, ctx25):
-    assert linalg.det(tlrs._form_matrix(ctx25))
+    assert linalg.det(hull_reference.form_matrix(ctx25))
 
 
 def test_eval_side_form_is_experimental(f25, ctx25):
@@ -231,14 +231,14 @@ def test_double_dual(f25, ctx25, example_code):
     dual = hull_reference.dual_basis(example_code)
     pairings = linalg.Mat.from_rows(
         dual.basis.entries, tower=f25, level=MID, cols=8
-    ) @ tlrs._form_matrix(ctx25)
+    ) @ hull_reference.form_matrix(ctx25)
     _, double = linalg.rank_kernel(pairings)
     assert double.basis == code_space.basis
 
 
 def test_dual_of_zero_is_ambient(f25, ctx25):
     empty = linalg.Mat.from_rows([], tower=f25, level=MID, cols=8)
-    pairings = empty @ tlrs._form_matrix(ctx25)
+    pairings = empty @ hull_reference.form_matrix(ctx25)
     _, dual = linalg.rank_kernel(pairings)
     assert dual.dim == 8
 
@@ -364,6 +364,50 @@ def test_min_sum_rank_distance_matches_per_word_reference():
                 assert tlrs.min_sum_rank_distance(code) == expected, (shape, k, ell, str(eta))
                 cases += 1
     assert cases == 17 + 5  # 17 classes; (7,1,3) has no eta with eta^2 = -1
+
+
+def test_per_code_routes_match_their_references(monkeypatch):
+    """On every class of the tlrs-certify benchmark, with a random twist and
+    an eta^2 = -1 twist wherever L has one: the block images the distance
+    oracle hands the walk are, word by word, those of the per-word route
+    (omega^s * b built, evaluated and turned into matrices); the Gram
+    entries are the pairwise forms, and the closed-form blocks those of
+    the element-operator reference."""
+    rng = random.Random(62)
+    real = linalg.min_weight
+    seen = []
+
+    def spy(words, *args, **kwargs):
+        seen.append(words)
+        return real(words, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "min_weight", spy)
+    cases = 0
+    for shape, k, max_ell in CERTIFY_CLASSES:
+        tower = FieldTower(*shape)
+        units = list(tower.top_units())
+        non_lcd = [e for e in units if not tower.top_one() + e * e]
+        for ell in range(1, max_ell + 1):
+            if (tower.q - 1) % ell or k > ell * tower.r - 1:
+                continue
+            ctx = QuotientCtx.build(tower, ell)
+            for eta in [rng.choice(units)] + non_lcd[:1]:
+                code = tlrs.build_code(tlrs.TlrsParams(ctx, k, rng.randrange(tower.r), eta))
+                case = (shape, k, ell, str(eta))
+                tlrs.min_sum_rank_distance(code)
+                per_word = [[t.matrix() for t in ctx.eval_map(SkewPoly(tower, [w]) * b)]
+                            for b in code.basis_polys for w in tower.mid_basis()]
+                assert seen.pop() == per_word, case
+                report = tlrs.gram(code)
+                for i, f in enumerate(code.basis_polys):
+                    for j, g in enumerate(code.basis_polys):
+                        assert report.gram[i, j] == tlrs.lambda_form(f, g, ctx), case
+                        assert report.gram[i, j] == hull_reference.lambda_form(f, g, ctx), case
+                m_block, b_block, alpha = hull_reference.gram_blocks(code)
+                assert (report.m_block, report.b_block, report.alpha_value) == (
+                    m_block, b_block, alpha), case
+                cases += 1
+    assert cases == 17 + 14  # (7,1,3) has no eta with eta^2 = -1
 
 
 def test_min_sum_rank_distance_needs_the_fq_span():
