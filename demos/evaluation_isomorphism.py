@@ -8,7 +8,7 @@ induces on codewords.
 
 import random
 
-from sumrank import FieldTower, QuotientCtx, SkewPoly, sum_rank_weight, theta_rank, tlrs
+from sumrank import FieldTower, QuotientCtx, SkewPoly, linalg, tlrs
 
 tower = FieldTower(5, 1, 2)
 u = tower.top([0, 1])
@@ -45,16 +45,15 @@ for _ in range(trials):
     f, g = rand_poly(), rand_poly()
     lhs = ctx.eval_map(f * g)
     pf, pg = ctx.eval_map(f), ctx.eval_map(g)
-    assert all(a == b.compose(c) for a, b, c in zip(lhs.parts, pf.parts, pg.parts))
+    assert all(a == b.compose(c) for a, b, c in zip(lhs, pf, pg))
 print(f"\nevaluation is multiplicative on {trials} random residue pairs")
 
 # Sum-rank weights: each block contributes the rank of its linearized map.
 params = tlrs.TlrsParams(ctx, 1, 0, tower.parse_top("2+1u"))
 code = tlrs.build_code(params)
 word = code.basis_polys[0]
-image = ctx.eval_map(word)
-ranks = [theta_rank(t) for t in image.parts]
+ranks = [linalg.rank(t.matrix()) for t in ctx.eval_map(word)]
 print(f"\ncodeword {word}")
-print(f"block ranks {ranks}, sum-rank weight {sum_rank_weight(image)}")
+print(f"block ranks {ranks}, sum-rank weight {sum(ranks)}")
 print("exhaustive minimum sum-rank distance:", tlrs.min_sum_rank_distance(code),
       "(bound:", tlrs.sum_rank_singleton_bound(params), ")")

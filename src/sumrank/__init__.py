@@ -20,18 +20,11 @@ import importlib
 # exported name -> the submodule that defines it; also the public API
 _EXPORTS = {
     **dict.fromkeys(("MID", "TOP", "Elem", "FieldTower"), "fields"),
-    **dict.fromkeys(
-        ("Mat", "Subspace", "det", "meet_dim", "rank_kernel", "schur_residual"),
-        "linalg",
-    ),
-    **dict.fromkeys(
-        ("QuotientCtx", "SkewPoly", "SumRankVector", "ThetaPoly", "build_h_lambda",
-         "sum_rank_weight", "theta_rank"),
-        "skew",
-    ),
+    **dict.fromkeys(("Mat", "det", "meet_dim", "schur_residual"), "linalg"),
+    **dict.fromkeys(("QuotientCtx", "SkewPoly", "ThetaPoly", "build_h_lambda"), "skew"),
     **dict.fromkeys(
         ("GramReport", "TlrsCode", "TlrsParams", "build_code", "gram", "hull_oracle",
-         "lambda_form", "lcd_criterion", "min_sum_rank_distance"),
+         "lcd_criterion", "min_sum_rank_distance"),
         "tlrs",
     ),
     **dict.fromkeys(

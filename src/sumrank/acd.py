@@ -82,6 +82,8 @@ class AcdParams:
             raise BadParamsError(
                 f"k = {self.k} outside 1..{len(self.lambda_set) - 1}"
             )
+        if self.twist_scalar.tower is not tower or self.skew_unit.tower is not tower:
+            raise BadParamsError("twist scalar and skew unit must belong to the code's tower")
         if self.twist_scalar.level != TOP or not self.twist_scalar:
             raise BadParamsError("twist scalar must be nonzero in F_{q^2}")
         alpha = self.skew_unit
@@ -375,10 +377,6 @@ class AcdVerdicts:
     det_t: Elem
     det_g0: Elem | None = None
     delta: Elem | None = None
-
-    def __iter__(self):
-        yield self.matrix_ok
-        yield self.structured_ok
 
 
 def acd_check(params: AcdParams) -> AcdVerdicts:

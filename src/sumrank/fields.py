@@ -282,7 +282,9 @@ class Elem:
     def _peer(self, other: "Elem") -> None:
         if not isinstance(other, Elem):
             raise TypeError(f"cannot combine Elem with {type(other).__name__}")
-        if other.tower is not self.tower or other.level != self.level:
+        if other.tower is not self.tower:
+            raise LevelMismatchError("operands belong to different towers")
+        if other.level != self.level:
             raise LevelMismatchError(
                 f"operands live at {self.level!r} and {other.level!r}"
             )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from ._record import record
 from .errors import (
     AmbientMismatchError,
     BadParamsError,
@@ -69,11 +68,6 @@ class Mat:
             [[one if i == j else zero for j in range(n)] for i in range(n)],
         )
 
-    @classmethod
-    def zeros(cls, tower: FieldTower, level: str, rows: int, cols: int) -> "Mat":
-        zero = tower.zero(level)
-        return cls(tower, level, rows, cols, [[zero] * cols for _ in range(rows)])
-
     def __getitem__(self, ij) -> Elem:
         i, j = ij
         return self.entries[i][j]
@@ -113,17 +107,6 @@ class Mat:
             out.append(row)
         return Mat._of_coords(self.tower, self.level, other.cols, out)
 
-    def stack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return Mat(
-            self.tower,
-            self.level,
-            self.rows + other.rows,
-            self.cols,
-            list(self.entries) + list(other.entries),
-        )
-
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
 
@@ -161,31 +144,6 @@ def _coords_of(rows, tower: FieldTower, level: str) -> list[list]:
                 raise LevelMismatchError(f"matrix entries must all live at {level!r} of one tower")
         out.append([e.coords for e in row])
     return out
-
-
-@record
-class Subspace:
-    """A subspace of the row space F^ambient_dim, held as an RREF basis."""
-
-    ambient_dim: int
-    basis: Mat
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    @classmethod
-    def from_generators(cls, rows, tower, level, ambient_dim) -> "Subspace":
-        coords = _coords_of(rows, tower, level)
-        if any(len(row) != ambient_dim for row in coords):
-            raise ValueError("entry grid does not match declared shape")
-        return _span(tower, level, ambient_dim, coords)
-
-
-def _span(tower: FieldTower, level: str, cols: int, rows) -> Subspace:
-    """The span of coordinate rows, held as their RREF."""
-    reduced, _ = _row_reduce(tower.coord_ops(level), rows, cols)
-    return Subspace(cols, Mat._of_coords(tower, level, cols, reduced))
 
 
 def _row_reduce(ops, rows, ncols):
@@ -327,14 +285,6 @@ def _kernel_rows(ops, reduced, pivots, ncols) -> list[list]:
     return rows
 
 
-def rank_kernel(m: Mat) -> tuple[int, Subspace]:
-    """Rank of m and a basis of its right kernel {v : m v^T = 0}."""
-    ops = m.tower.coord_ops(m.level)
-    reduced, pivots = _row_reduce(ops, _coords(m), m.cols)
-    kernel = _kernel_rows(ops, reduced, pivots, m.cols)
-    return len(pivots), _span(m.tower, m.level, m.cols, kernel)
-
-
 def meet_dim(rows: Mat, pairing: Mat) -> int:
     """dim(rowspace(rows) intersect K), K = {v : pairing v^T = 0}.
 
@@ -373,15 +323,6 @@ def _solve(ops, aug, n: int) -> list:
     if pivots != list(range(n)):
         raise SingularLeadingBlockError("singular system")
     return [row[n] for row in reduced]
-
-
-def solve(m: Mat, rhs) -> list[Elem]:
-    """Solve m x = rhs for square invertible m; raises if singular."""
-    if m.rows != m.cols:
-        raise NotSquareError("solve needs a square matrix")
-    aug = [row + b for row, b in zip(_coords(m), _coords_of([[r] for r in rhs], m.tower, m.level))]
-    x = _solve(m.tower.coord_ops(m.level), aug, m.cols)
-    return [Elem(m.tower, m.level, c) for c in x]
 
 
 def schur_residual(h: Mat) -> Elem:

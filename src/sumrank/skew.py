@@ -246,11 +246,6 @@ class ThetaPoly:
         return f"ThetaPoly([{body}])"
 
 
-def theta_rank(t: ThetaPoly) -> int:
-    """Rank of the K-linear map represented by t (0..r)."""
-    return linalg.rank(t.matrix())
-
-
 def evaluate_at_point(f: SkewPoly, alpha: Elem) -> ThetaPoly:
     """Operator value of f at alpha: X^j acts as the partial norm product
     N_j = alpha theta(alpha) .. theta^(j-1)(alpha) times theta^j, folded
@@ -269,34 +264,6 @@ def evaluate_at_point(f: SkewPoly, alpha: Elem) -> ThetaPoly:
             term = ops.mul(fj.coords, norm) if j else fj.coords
             out[j % tower.r] = ops.add(out[j % tower.r], term)
     return _of_coords(ThetaPoly, tower, out)
-
-
-@record
-class SumRankVector:
-    """One theta-polynomial per evaluation block."""
-
-    parts: tuple
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def coords_mid(self) -> list[Elem]:
-        return [c for part in self.parts for c in part.coords_mid()]
-
-    def to_rows(self) -> list[list[str]]:
-        """One row of r coefficient encodings per block."""
-        return [[str(c) for c in part.coeffs] for part in self.parts]
-
-
-def sum_rank_weight(v: SumRankVector) -> int:
-    """Sum of the blockwise ranks; zero exactly on the zero vector."""
-    return sum(theta_rank(t) for t in v.parts)
 
 
 @record
@@ -365,10 +332,10 @@ class QuotientCtx:
             raise BlockOutOfRangeError(f"block {i} outside 1..{self.ell}")
         return evaluate_at_point(f, self.alphas[i - 1])
 
-    def eval_map(self, f: SkewPoly) -> SumRankVector:
-        """All ell block values of the residue of f."""
+    def eval_map(self, f: SkewPoly) -> tuple:
+        """All ell block values of the residue of f, one ThetaPoly per block."""
         f = self.reduce(f)
-        return SumRankVector(tuple(self.evaluate(f, i) for i in range(1, self.ell + 1)))
+        return tuple(self.evaluate(f, i) for i in range(1, self.ell + 1))
 
     def ambient_basis(self):
         """The monomial K-basis u^t X^i of the residue space, in slot order."""

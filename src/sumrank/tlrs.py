@@ -53,6 +53,8 @@ class TlrsParams:
             )
         if not 0 <= self.h <= tower.r - 1:
             raise BadParamsError(f"h = {self.h} outside 0..{tower.r - 1}")
+        if self.eta.tower is not tower:
+            raise BadParamsError("eta must belong to the tower of the quotient context")
         if self.eta.level != TOP or not self.eta:
             raise BadParamsError("eta must be a nonzero element of L")
 
@@ -111,12 +113,6 @@ def _pairing(tower: FieldTower, trace, f: SkewPoly, g: SkewPoly) -> tuple:
     ops = tower.coord_ops(TOP)
     products = (ops.mul(a.coords, b.coords) for a, b in zip(f.coeffs, g.coeffs) if a and b)
     return trace(reduce(ops.add, products, ops.zero))
-
-
-def lambda_form(f: SkewPoly, g: SkewPoly, ctx: QuotientCtx) -> Elem:
-    """<F, G> = Tr(sum_i f_i g_i) on the degree-reduced representatives."""
-    tower = ctx.tower
-    return Elem(tower, MID, _pairing(tower, _trace(tower), ctx.reduce(f), ctx.reduce(g)))
 
 
 @record

@@ -11,14 +11,29 @@ stacked system, the route the library's oracles took before they counted
 dim(C intersect C-perp) from ranks alone (``linalg.meet_dim``), and pair
 code rows with the dense matrix of the tlrs form, where the library pairs
 them slot by slot.  The tlrs form and Gram blocks are here on element
-operators too.  The tests keep all of it as ground truth for the library.
+operators too, and so is the subspace record, an RREF basis, that the
+intersections work on.  The tests keep all of it as ground truth for the
+library.
 """
 
 import skew_reference
 from sumrank import acd, tlrs
 from sumrank.errors import AmbientMismatchError, SingularLeadingBlockError
+from sumrank._record import record
 from sumrank.fields import MID, Elem
-from sumrank.linalg import Mat, Subspace
+from sumrank.linalg import Mat
+
+
+@record
+class Subspace:
+    """A subspace of the row space F^ambient_dim, held as an RREF basis."""
+
+    ambient_dim: int
+    basis: Mat
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
 
 
 # ---------------------------------------------------------------- elimination
@@ -169,7 +184,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return span([], tower, level, n)
-    stacked = a.basis.stack(b.basis).transpose()  # n x (ka + kb)
+    stacked = Mat.from_rows(a.basis.entries + b.basis.entries).transpose()  # n x (ka + kb)
     _, ker = rank_kernel(stacked)
     vectors = []
     zero = tower.zero(level)

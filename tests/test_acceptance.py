@@ -104,19 +104,21 @@ def test_c04_evaluation_algebra(f25s):
         )
 
     # bijective on a spanning K-basis of the residue space
-    rows = [ctx.eval_map(b).coords_mid() for b in ctx.ambient_basis()]
+    def eval_coords(f):
+        return [c for t in ctx.eval_map(f) for c in t.coords_mid()]
+
+    rows = [eval_coords(b) for b in ctx.ambient_basis()]
     mat = Mat.from_rows(rows, tower=tower, level=MID, cols=ctx.ambient_dim)
-    rank, _ = linalg.rank_kernel(mat)
-    assert rank == ctx.ambient_dim
+    assert linalg.rank(mat) == ctx.ambient_dim
 
     # K-linearity in coordinates
     for _ in range(200):
         f, g = rand_poly(), rand_poly()
         a, b = tower.mid(rng.randrange(5)), tower.mid(rng.randrange(5))
         combo = SkewPoly(tower, [a]) * f + SkewPoly(tower, [b]) * g
-        lhs = ctx.eval_map(combo).coords_mid()
-        rf = ctx.eval_map(f).coords_mid()
-        rg = ctx.eval_map(g).coords_mid()
+        lhs = eval_coords(combo)
+        rf = eval_coords(f)
+        rg = eval_coords(g)
         rhs = [a * x + b * y for x, y in zip(rf, rg)]
         assert lhs == rhs
 
@@ -126,7 +128,7 @@ def test_c04_evaluation_algebra(f25s):
         f, g = rand_poly(), rand_poly()
         lhs = ctx.eval_map(f * g)
         pf, pg = ctx.eval_map(f), ctx.eval_map(g)
-        for left, x, y in zip(lhs.parts, pf.parts, pg.parts):
+        for left, x, y in zip(lhs, pf, pg):
             assert left == x.compose(y)
         pairs += 1
     assert pairs >= 1000

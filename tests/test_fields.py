@@ -16,10 +16,19 @@ from sumrank.errors import (
 from sumrank.fields import MID, FieldTower
 
 
+def rand_mid(tower, rng):
+    return tower.mid([rng.randrange(tower.p) for _ in range(tower.m)])
+
+
 def rand_top(tower, rng):
-    return tower.top(
-        [[rng.randrange(tower.p) for _ in range(tower.m)] for _ in range(tower.r)]
-    )
+    return tower.top([rand_mid(tower, rng) for _ in range(tower.r)])
+
+
+@pytest.fixture(scope="module")
+def towers(f25, f81):
+    """The towers of the property tests: F_25 and F_81 (r = 2), and r = 1,
+    r = 3, and m = 2 with r = 3."""
+    return (f25, f81, FieldTower(5, 1, 1), FieldTower(13, 1, 3), FieldTower(3, 2, 3))
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -115,18 +124,30 @@ def test_division_and_inverse(f25):
 
 
 def test_level_mismatch_rejected(f25):
-    with pytest.raises(LevelMismatchError):
+    with pytest.raises(LevelMismatchError, match="^operands live at 'top' and 'mid'$"):
         f25.top_one() + f25.mid_one()
+    # a tower built alike is still another tower, whatever the levels
+    twin = FieldTower(5, 1, 2)
+    for a, b in ((f25.top(1), twin.top(1)), (f25.mid(2), twin.mid(2)), (f25.top(1), twin.mid(1))):
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            with pytest.raises(LevelMismatchError, match="^operands belong to different towers$"):
+                getattr(a, op)(b)
 
 
-def test_field_axioms_random(f25, f81):
+def test_field_axioms_random(towers):
     rng = random.Random(9)
-    for tower in (f25, f81):
+    for tower in towers:
         for _ in range(30):
-            a, b, c = (rand_top(tower, rng) for _ in range(3))
-            assert (a + b) * c == a * c + b * c
-            assert a * (b * c) == (a * b) * c
-            assert a * b == b * a
+            for rand in (rand_mid, rand_top):
+                a, b, c = (rand(tower, rng) for _ in range(3))
+                zero, one = tower.zero(a.level), tower.one(a.level)
+                assert (a + b) + c == a + (b + c) and a + b == b + a
+                assert a + zero == a and a + (-a) == zero and a - b == a + (-b)
+                assert (a + b) * c == a * c + b * c
+                assert a * (b * c) == (a * b) * c
+                assert a * b == b * a and a * one == a
+                if a:
+                    assert a * a**-1 == one and (b / a) * a == b
 
 
 # ---------------------------------------------------------------- frobenius
@@ -137,20 +158,29 @@ def test_frobenius_of_u(f25):
     assert f25.frobenius(u, 1) == f25.top([0, 4])
 
 
-def test_frobenius_fixes_base_and_has_order_r(f25):
+def test_frobenius_fixes_base_and_has_order_r(towers):
+    """theta fixes F_q, theta^r is the identity, and no smaller power is:
+    theta^h moves u, a root of the degree-r top modulus, for 0 < h < r."""
     rng = random.Random(10)
-    for c in f25.mid_elements():
-        emb = f25.top(c)
-        for h in range(4):
-            assert f25.frobenius(emb, h) == emb
-    for _ in range(20):
-        x = rand_top(f25, rng)
-        assert f25.frobenius(x, 2) == x
+    for tower in towers:
+        r = tower.r
+        for c in tower.mid_elements():
+            emb = tower.top(c)
+            for h in range(2 * r):
+                assert tower.frobenius(emb, h) == emb
+        u = tower.top([int(t == 1) for t in range(r)])
+        for h in range(1, r):
+            assert tower.frobenius(u, h) != u
+        for _ in range(20):
+            x = rand_top(tower, rng)
+            assert tower.frobenius(x, r) == x
+            for h in range(1, r):
+                assert tower.frobenius(tower.frobenius(x, h), r - h) == x
 
 
-def test_frobenius_is_ring_hom(f25, f81):
+def test_frobenius_is_ring_hom(towers):
     rng = random.Random(11)
-    for tower in (f25, f81):
+    for tower in towers:
         for _ in range(20):
             x, y = rand_top(tower, rng), rand_top(tower, rng)
             fx, fy = tower.frobenius(x, 1), tower.frobenius(y, 1)
@@ -172,21 +202,21 @@ def test_norm_of_one(f25):
     assert f25.norm(f25.top_one()) == f25.mid_one()
 
 
-def test_trace_linear_and_frobenius_invariant(f25, f81):
+def test_trace_linear_and_frobenius_invariant(towers):
     rng = random.Random(12)
-    for tower in (f25, f81):
+    for tower in towers:
         for _ in range(25):
-            x, y = rand_top(tower, rng), rand_top(tower, rng)
+            x, y, c = rand_top(tower, rng), rand_top(tower, rng), rand_mid(tower, rng)
             h = rng.randrange(tower.r)
-            assert tower.trace(x + y) == tower.trace(x) + tower.trace(y)
+            assert tower.trace(tower.top(c) * x + y) == c * tower.trace(x) + tower.trace(y)
             assert tower.trace(tower.frobenius(x, h)) == tower.trace(x)
             assert tower.norm(x * y) == tower.norm(x) * tower.norm(y)
 
 
-def test_trace_equals_matrix_trace(f25, f81):
+def test_trace_equals_matrix_trace(towers):
     # independent route: trace of the multiplication-by-x matrix over F_q
     rng = random.Random(13)
-    for tower in (f25, f81):
+    for tower in towers:
         r = tower.r
         basis = [tower.top([0] * t + [1] + [0] * (r - 1 - t)) for t in range(r)]
         for _ in range(15):
@@ -308,6 +338,15 @@ def test_text_roundtrip(f25):
     assert f25.parse_top("u") == f25.top([0, 1])
     assert f25.parse_top("4u") == f25.top([0, 4])
     assert f25.parse_top("3") == f25.top(3)
+    # every element's text parses back for m = 1 (r = 1 and r = 3), and
+    # every nested [..] list of F_q coordinate lists for m = 2
+    for tower in (FieldTower(5, 1, 1), FieldTower(5, 1, 3)):
+        for x in tower.top_elements():
+            assert tower.parse_top(str(x)) == x, str(x)
+    f9 = FieldTower(3, 2, 2)
+    for x in f9.top_elements():
+        text = "[" + ",".join("[" + ",".join(map(str, c)) + "]" for c in x.coords) + "]"
+        assert f9.parse_top(text) == x, text
 
 
 def test_tower_descriptor_roundtrip(f25, f81):
