@@ -44,9 +44,12 @@ class Mat:
     def from_rows(cls, rows, tower=None, level=None, cols=None) -> "Mat":
         rows = [list(r) for r in rows]
         if rows and rows[0]:
-            probe = rows[0][0]
-            tower, level = probe.tower, probe.level
-            cols = len(rows[0])
+            probe, width = rows[0][0], len(rows[0])
+            if tower not in (None, probe.tower) or level not in (None, probe.level):
+                raise LevelMismatchError("rows do not live at the given tower and level")
+            if cols not in (None, width):
+                raise ValueError(f"rows of width {width} given cols = {cols}")
+            tower, level, cols = probe.tower, probe.level, width
         if tower is None or level is None or cols is None:
             raise ValueError("empty matrix needs explicit tower/level/cols")
         return cls(tower, level, len(rows), cols, rows)
@@ -57,29 +60,9 @@ class Mat:
         return cls(tower, level, len(rows), cols,
                    [[Elem(tower, level, c) for c in row] for row in rows])
 
-    @classmethod
-    def identity(cls, tower: FieldTower, level: str, n: int) -> "Mat":
-        zero, one = tower.zero(level), tower.one(level)
-        return cls(
-            tower,
-            level,
-            n,
-            n,
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-        )
-
     def __getitem__(self, ij) -> Elem:
         i, j = ij
         return self.entries[i][j]
-
-    def transpose(self) -> "Mat":
-        return Mat(
-            self.tower,
-            self.level,
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -235,12 +235,6 @@ class ThetaPoly:
         rows = [[Elem(tower, MID, col[s]) for col in cols] for s in range(r)]
         return linalg.Mat(tower, MID, r, r, rows)
 
-    def coords_mid(self) -> list[Elem]:
-        """K-coordinates: r tuples of r residues, flattened."""
-        return [
-            Elem(self.tower, MID, part) for c in self.coeffs for part in c.coords
-        ]
-
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
         return f"ThetaPoly([{body}])"
@@ -336,15 +330,3 @@ class QuotientCtx:
         """All ell block values of the residue of f, one ThetaPoly per block."""
         f = self.reduce(f)
         return tuple(self.evaluate(f, i) for i in range(1, self.ell + 1))
-
-    def ambient_basis(self):
-        """The monomial K-basis u^t X^i of the residue space, in slot order."""
-        tower = self.tower
-        r = tower.r
-        out = []
-        for i in range(self.modulus_degree):
-            for t in range(r):
-                coeff_coords = [[0] * tower.m for _ in range(r)]
-                coeff_coords[t][0] = 1
-                out.append(SkewPoly.monomial(tower, tower.top(coeff_coords), i))
-        return out

@@ -11,9 +11,10 @@ criterion independent of k, h and the evaluation subgroup.  Everything
 here is certified twice: once through that closed form and once through a
 brute-force hull oracle that never touches the Gram matrix.  The oracle
 counts dim(C intersect C-perp) as rank C + dim C-perp - rank [C; C-perp],
-with C-perp the kernel of the code's form values on the ambient basis.
-Per code, each route reduces or evaluates each basis residue once and
-computes on coordinates, building elements only for returned values.
+with C-perp the kernel of the code's form values on the X-slots that the
+basis residues occupy.  Per code, each route reduces or evaluates each
+basis residue at most once and computes on coordinates, building
+elements only for returned values.
 """
 
 from __future__ import annotations
@@ -85,12 +86,10 @@ def build_code(params: TlrsParams) -> TlrsCode:
     for j in range(1, params.k):
         for beta in betas:
             polys.append(SkewPoly.monomial(tower, beta, j))
+    gap = [tower.top_zero()] * (params.k - 1)
     for beta in betas:
         twist = params.eta * tower.frobenius(beta, params.h)
-        polys.append(
-            SkewPoly(tower, [beta])
-            + SkewPoly.monomial(tower, twist, params.k)
-        )
+        polys.append(SkewPoly(tower, [beta, *gap, twist]))
     return TlrsCode(params, tuple(polys), betas)
 
 
@@ -106,6 +105,16 @@ def _trace(tower: FieldTower):
     ops = tower.coord_ops(MID)
     row = [reduce(ops.add, (images[t][0] for images in tower._frob)) for t in range(tower.r)]
     return lambda x: reduce(ops.add, map(ops.mul, x, row))
+
+
+def _power_traces(tower: FieldTower, trace, *xs) -> list:
+    """Per coordinates x in xs, Tr(x u^e) for e = 0 .. 2r - 2: in the power
+    basis b_t = u^t, Tr(x b_s b_t) = Tr(x u^(s+t)), so the r x r matrix of
+    that form is Hankel, entry (s, t) being item s + t."""
+    ops = tower.coord_ops(TOP)
+    betas = [b.coords for b in _power_basis(tower)]
+    powers = betas + [ops.mul(betas[-1], b) for b in betas[1:]]  # u^(r-1) u^t = u^(r-1+t)
+    return [[trace(y if x == ops.one else ops.mul(x, y)) for y in powers] for x in xs]
 
 
 def _pairing(tower: FieldTower, trace, f: SkewPoly, g: SkewPoly) -> tuple:
@@ -163,17 +172,18 @@ class GramReport:
 
 def gram_blocks(code: TlrsCode):
     """The closed-form blocks: M[t,u] = Tr(b_t b_u) and
-    B[t,u] = Tr(alpha b_t b_u) with alpha = theta^(-h)(1 + eta^2)."""
+    B[t,u] = Tr(alpha b_t b_u) with alpha = theta^(-h)(1 + eta^2), both
+    Hankel in the power basis b_t = u^t of the code."""
     params = code.params
     tower = params.ctx.tower
     ops, trace, r = tower.coord_ops(TOP), _trace(tower), tower.r
     eta = params.eta.coords
     alpha = tower._theta(ops.add(ops.one, ops.mul(eta, eta)), -params.h)
-    products = [[ops.mul(bt.coords, bu.coords) for bu in code.k_basis_of_l]
-                for bt in code.k_basis_of_l]
-    m_rows = [[Elem(tower, MID, trace(x)) for x in row] for row in products]
-    b_rows = [[Elem(tower, MID, trace(ops.mul(alpha, x))) for x in row] for row in products]
-    return Mat(tower, MID, r, r, m_rows), Mat(tower, MID, r, r, b_rows), Elem(tower, TOP, alpha)
+    m_block, b_block = (
+        Mat(tower, MID, r, r, [[Elem(tower, MID, v) for v in traces[s:s + r]] for s in range(r)])
+        for traces in _power_traces(tower, trace, ops.one, alpha)
+    )
+    return m_block, b_block, Elem(tower, TOP, alpha)
 
 
 def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
@@ -212,31 +222,53 @@ def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
 
 def hull_oracle(code: TlrsCode) -> int:
     """dim_K(C intersect C-perp), counted by ``linalg.meet_dim`` from the
-    code rows and their form values against the ambient basis, whose kernel
-    is the dual; zero exactly for complementary-dual codes and equal to
-    dim C for self-orthogonal ones.  The rows are the basis polynomials in
-    ambient residue coordinates.  The form is block diagonal, one copy of
-    the trace-form Gram t0 of the power basis per X-slot, so a row's form
-    values are its slots times t0, slot by slot."""
+    code rows and their form values, whose kernel is the dual; zero exactly
+    for complementary-dual codes and equal to dim C for self-orthogonal
+    ones.  The form is block diagonal, one copy of the trace-form Gram t0
+    of the power basis per X-slot, so a row's form values are its slots
+    times t0, slot by slot.  The slots above D, the residues' highest
+    degree, pair only among themselves, so C lies in the span W of slots
+    0..D and meets C-perp only in C-perp intersect W: the kernel of the
+    form values on W's (D+1)r coordinates, where both are counted."""
     ctx = code.params.ctx
     tower = ctx.tower
-    ops, mid, trace = tower.coord_ops(TOP), tower.coord_ops(MID), _trace(tower)
-    betas = [b.coords for b in _power_basis(tower)]
-    t0 = [[trace(ops.mul(bs, bt)) for bt in betas] for bs in betas]
+    ops, mid, r = tower.coord_ops(TOP), tower.coord_ops(MID), tower.r
+    [traces] = _power_traces(tower, _trace(tower), ops.one)
+    t0 = [traces[s:s + r] for s in range(r)]
 
     def slot_form(c):
         """The form values of one slot c: c times t0 (symmetric, so its rows
         serve as columns); a zero slot pairs to zeros."""
         return c if c == ops.zero else [reduce(mid.add, map(mid.mul, c, col)) for col in t0]
 
+    residues = [[c.coords for c in ctx.reduce(f).coeffs] for f in code.basis_polys]
+    slots = max(map(len, residues))
     rows, pairings = [], []
-    for f in code.basis_polys:
-        coeffs = [c.coords for c in ctx.reduce(f).coeffs]
-        coeffs += [ops.zero] * (ctx.modulus_degree - len(coeffs))
+    for coeffs in residues:
+        coeffs += [ops.zero] * (slots - len(coeffs))
         rows.append([Elem(tower, MID, x) for c in coeffs for x in c])
         pairings.append([Elem(tower, MID, x) for c in coeffs for x in slot_form(c)])
-    n, cols = len(rows), ctx.ambient_dim
+    n, cols = len(rows), slots * r
     return linalg.meet_dim(Mat(tower, MID, n, cols, rows), Mat(tower, MID, n, cols, pairings))
+
+
+class _BuiltOnFirstUse:
+    """The sequence build(0), .., build(n - 1), each item built when first
+    read and then kept, so a later read costs a list index and a test."""
+
+    __slots__ = ("_items", "_build")
+
+    def __init__(self, n: int, build):
+        self._items, self._build = [None] * n, build
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        item = self._items[i]
+        if item is None:
+            item = self._items[i] = self._build(i)
+        return item
 
 
 def min_sum_rank_distance(
@@ -251,21 +283,23 @@ def min_sum_rank_distance(
     F_p-combinations, and a word's weight is the sum of its blocks' ranks.
     The walk stops at the first word of weight ``sum_rank_distance_floor``,
     so the result is either that floor or the Singleton bound one above it.
+    The walk first reads word d at step p^d, so words are built on first
+    read: a walk that stops early never evaluates the later residues.
     """
     ctx = code.params.ctx
     tower = ctx.tower
     mul = tower.coord_ops(MID).mul
-    omegas = [w.coords for w in tower.mid_basis()[1:]]  # omega^0 = 1 keeps b's blocks
-    images = []
-    for b in code.basis_polys:
-        blocks = [t.matrix() for t in ctx.eval_map(b)]
-        images.append(blocks)
-        for w in omegas:
-            images.append([
-                Mat(tower, MID, m.rows, m.cols,
-                    [[Elem(tower, MID, mul(w, e.coords)) for e in row] for row in m.entries])
-                for m in blocks
-            ])
+    omegas = [w.coords for w in tower.mid_basis()]
+
+    def image(i):
+        b, s = divmod(i, len(omegas))
+        if not s:  # omega^0 = 1: the blocks of b itself
+            return [t.matrix() for t in ctx.eval_map(code.basis_polys[b])]
+        return [Mat(tower, MID, m.rows, m.cols,
+                    [[Elem(tower, MID, mul(omegas[s], e.coords)) for e in row] for row in m.entries])
+                for m in images[i - s]]
+
+    images = _BuiltOnFirstUse(len(code.basis_polys) * len(omegas), image)
     return linalg.min_weight(
         images,
         tower.p,

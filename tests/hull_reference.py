@@ -161,6 +161,16 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return Mat.from_rows(rows, tower=a.tower, level=a.level, cols=b.cols)
 
 
+def transpose(m: Mat) -> Mat:
+    return Mat(m.tower, m.level, m.cols, m.rows,
+               [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
+
+
+def identity(tower, level, n: int) -> Mat:
+    zero, one = tower.zero(level), tower.one(level)
+    return Mat(tower, level, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
 def is_symmetric(m: Mat) -> bool:
     return m.rows == m.cols and all(
         m[i, j] == m[j, i] for i in range(m.rows) for j in range(i)
@@ -184,7 +194,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return span([], tower, level, n)
-    stacked = Mat.from_rows(a.basis.entries + b.basis.entries).transpose()  # n x (ka + kb)
+    stacked = transpose(Mat.from_rows(a.basis.entries + b.basis.entries))  # n x (ka + kb)
     _, ker = rank_kernel(stacked)
     vectors = []
     zero = tower.zero(level)

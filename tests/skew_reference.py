@@ -7,7 +7,7 @@ one field operation per ``+``, ``-`` and ``*`` and every twist through
 """
 
 from sumrank import linalg
-from sumrank.fields import MID
+from sumrank.fields import MID, Elem
 from sumrank.skew import SkewPoly, ThetaPoly
 
 
@@ -79,3 +79,21 @@ def compose(a: ThetaPoly, b: ThetaPoly) -> ThetaPoly:
         for j, y in enumerate(b.coeffs):
             out[(i + j) % r] = out[(i + j) % r] + x * tower.frobenius(y, i)
     return ThetaPoly(tower, out)
+
+
+def coords_mid(t: ThetaPoly) -> list:
+    """K-coordinates of a theta-polynomial: r tuples of r residues, flattened."""
+    return [Elem(t.tower, MID, part) for c in t.coeffs for part in c.coords]
+
+
+def ambient_basis(ctx) -> list:
+    """The monomial K-basis u^t X^i of the residue space, in slot order."""
+    tower = ctx.tower
+    r = tower.r
+    out = []
+    for i in range(ctx.modulus_degree):
+        for t in range(r):
+            coeff_coords = [[0] * tower.m for _ in range(r)]
+            coeff_coords[t][0] = 1
+            out.append(SkewPoly.monomial(tower, tower.top(coeff_coords), i))
+    return out

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import skew_reference
 from sumrank import acd, linalg, tlrs
 from sumrank.errors import SearchFailedError, SingularMError
 from sumrank.fields import MID, FieldTower
@@ -105,9 +106,9 @@ def test_c04_evaluation_algebra(f25s):
 
     # bijective on a spanning K-basis of the residue space
     def eval_coords(f):
-        return [c for t in ctx.eval_map(f) for c in t.coords_mid()]
+        return [c for t in ctx.eval_map(f) for c in skew_reference.coords_mid(t)]
 
-    rows = [eval_coords(b) for b in ctx.ambient_basis()]
+    rows = [eval_coords(b) for b in skew_reference.ambient_basis(ctx)]
     mat = Mat.from_rows(rows, tower=tower, level=MID, cols=ctx.ambient_dim)
     assert linalg.rank(mat) == ctx.ambient_dim
 

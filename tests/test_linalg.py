@@ -57,7 +57,7 @@ def test_det_gram_example(f25):
 
 
 def test_det_identity_and_empty(f25):
-    assert linalg.det(Mat.identity(f25, MID, 3)) == f25.mid_one()
+    assert linalg.det(hull_reference.identity(f25, MID, 3)) == f25.mid_one()
     empty = Mat.from_rows([], tower=f25, level=MID, cols=0)
     assert linalg.det(empty) == f25.mid_one()
 
@@ -92,7 +92,7 @@ def test_det_requires_square(f25):
 
 def _nullity(m):
     """dim ker m, as meet_dim counts it: the whole space meets ker m in it."""
-    return linalg.meet_dim(Mat.identity(m.tower, m.level, m.cols), m)
+    return linalg.meet_dim(hull_reference.identity(m.tower, m.level, m.cols), m)
 
 
 def test_rank_kernel_zero_matrix(f25):
@@ -182,7 +182,7 @@ def test_rank_matches_rref_rank(f81, level, shape, data):
     rows_n, cols = shape
     m = _draw_mat(data, f81, level, rows_n, cols)
     rank, ker = hull_reference.rank_kernel(m)
-    assert linalg.rank(m) == rank == linalg.rank(m.transpose())
+    assert linalg.rank(m) == rank == linalg.rank(hull_reference.transpose(m))
     assert _nullity(m) == ker.dim == cols - rank
     if rows_n == cols:
         det = linalg.det(m)
@@ -275,7 +275,7 @@ def test_kernels_make_no_elem_arithmetic(f81, forbidden):
             got = [
                 linalg.det(a),
                 linalg.rank(low),
-                linalg.rank(low.transpose()),
+                linalg.rank(hull_reference.transpose(low)),
                 linalg.schur_residual(a),
                 a + a,
                 low @ a,
@@ -284,7 +284,7 @@ def test_kernels_make_no_elem_arithmetic(f81, forbidden):
         assert got == [
             hull_reference.det(a),
             hull_reference.rank_kernel(low)[0],
-            hull_reference.rank_kernel(low.transpose())[0],
+            hull_reference.rank_kernel(hull_reference.transpose(low))[0],
             hull_reference.schur_residual(a),
             hull_reference.add(a, a),
             hull_reference.matmul(low, a),
@@ -310,7 +310,7 @@ def test_kernels_reject_entries_of_another_level(f81):
             with pytest.raises(LevelMismatchError):
                 call(mixed)
     with pytest.raises(LevelMismatchError):
-        Mat.identity(f81, MID, 2) + Mat.identity(f81, TOP, 2)
+        hull_reference.identity(f81, MID, 2) + hull_reference.identity(f81, TOP, 2)
 
 
 def test_span_rejects_rows_of_another_width(f81):
@@ -321,6 +321,22 @@ def test_span_rejects_rows_of_another_width(f81):
         with pytest.raises(ValueError, match="declared shape"):
             Mat(f81, MID, len(rows), 3, rows)
     assert linalg.rank(Mat(f81, MID, 1, 3, [[one, zero, one]])) == 1
+
+
+def test_from_rows_checks_the_shape_it_is_given(f81):
+    """from_rows reads tower, level and width off the first row; any of
+    them also given must agree, or the call raises instead of returning a
+    matrix of another shape or level."""
+    one, zero = f81.mid(1), f81.mid(0)
+    with pytest.raises(ValueError, match="width 2"):
+        Mat.from_rows([[one, zero]], tower=f81, level=MID, cols=3)
+    with pytest.raises(LevelMismatchError):
+        Mat.from_rows([[one, zero]], tower=f81, level=TOP, cols=2)
+    with pytest.raises(LevelMismatchError):
+        Mat.from_rows([[one, zero]], tower=FieldTower(3, 2, 2), level=MID, cols=2)
+    given = Mat.from_rows([[one, zero]], tower=f81, level=MID, cols=2)
+    assert given == Mat.from_rows([[one, zero]]) == Mat(f81, MID, 1, 2, [[one, zero]])
+    assert Mat.from_rows([], tower=f81, level=TOP, cols=3).cols == 3
 
 
 # ---------------------------------------------------------------- distance walk

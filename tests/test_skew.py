@@ -264,8 +264,8 @@ def test_eval_map_multiplicative(f25, ctx25):
 
 
 def test_eval_map_bijective_on_basis(f25, ctx25):
-    rows = [[c for t in ctx25.eval_map(b) for c in t.coords_mid()]
-            for b in ctx25.ambient_basis()]
+    rows = [[c for t in ctx25.eval_map(b) for c in skew_reference.coords_mid(t)]
+            for b in skew_reference.ambient_basis(ctx25)]
     mat = linalg.Mat.from_rows(rows, tower=f25, level=MID, cols=ctx25.ambient_dim)
     assert linalg.rank(mat) == ctx25.ambient_dim == 8
 

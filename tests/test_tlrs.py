@@ -299,6 +299,35 @@ def test_hull_oracle_matches_intersection_reference(f25, ctx25, forbidden):
     assert tlrs.hull_oracle(self_orth) == hull_reference.tlrs_hull(self_orth) == 2
 
 
+def test_slot_sized_hull_matches_full_ambient_reference():
+    """hull_oracle counts on the X-slots 0..D its basis residues occupy;
+    the reference pairs the code with the dense form on all ell*r^2
+    ambient coordinates.  They agree for every k < N = ell*r (so on
+    every D from 1 to N - 1), every h, a random twist and each eta with
+    eta^2 = -1, whose hull has dimension r."""
+    rng = random.Random(63)
+    cases = non_lcd_cases = 0
+    for shape, ells in (((5, 1, 2), (2, 4)), ((3, 2, 2), (2,)), ((5, 1, 3), (2,)),
+                        ((7, 1, 3), (2, 3))):
+        tower = FieldTower(*shape)
+        units = list(tower.top_units())
+        non_lcd = [e for e in units if not tower.top_one() + e * e]
+        for ell in ells:
+            ctx = QuotientCtx.build(tower, ell)
+            for k in range(1, ctx.modulus_degree):
+                for h in range(tower.r):
+                    for i, eta in enumerate([rng.choice(units)] + non_lcd):
+                        params = tlrs.TlrsParams(ctx, k, h, eta)
+                        code = tlrs.build_code(params)
+                        hull = tlrs.hull_oracle(code)
+                        case = (shape, ell, k, h, str(eta))
+                        assert hull == hull_reference.tlrs_hull(code), case
+                        assert hull == (0 if tlrs.lcd_criterion(params) else tower.r), case
+                        cases += 1
+                        non_lcd_cases += i > 0
+    assert (cases, non_lcd_cases) == (162, 82)  # -1 is no square in F_7 or F_343
+
+
 def test_dim_code_plus_dual(f25, f169):
     rng = random.Random(56)
     for tower, ell in ((f25, 2), (f169, 3)):
@@ -328,6 +357,33 @@ def test_example_min_distance(example_code):
 def test_distance_guard(example_code):
     with pytest.raises(TooLargeError, match=r"^enumerating 25 codewords exceeds the guard 10$"):
         tlrs.min_sum_rank_distance(example_code, max_enumeration=10)
+
+
+def test_distance_guard_trips_before_any_evaluation(example_code, forbidden):
+    with forbidden(QuotientCtx, "eval_map", "evaluate"):
+        with pytest.raises(TooLargeError, match=r"^enumerating 25 codewords exceeds the guard 10$"):
+            tlrs.min_sum_rank_distance(example_code, max_enumeration=10)
+
+
+def test_walk_that_stops_at_its_first_word_evaluates_one_residue(monkeypatch):
+    """At (5,1,2), ell = 4, k = 1 every code's first word already weighs
+    the floor N - k = 7, so the walk stops there: of the kr = 2 basis
+    residues only the first is evaluated."""
+    tower = FieldTower(5, 1, 2)
+    ctx = QuotientCtx.build(tower, 4)
+    real, calls = QuotientCtx.eval_map, []
+
+    def counting(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(QuotientCtx, "eval_map", counting)
+    for h in range(tower.r):
+        for eta in tower.top_units():
+            code = tlrs.build_code(tlrs.TlrsParams(ctx, 1, h, eta))
+            assert tlrs.min_sum_rank_distance(code) == 7
+            assert calls == [code.basis_polys[0]], (h, str(eta))
+            calls.clear()
 
 
 def _per_word_min_sum_rank_distance(code):
@@ -377,7 +433,8 @@ def test_min_sum_rank_distance_matches_per_word_reference():
 def test_per_code_routes_match_their_references(monkeypatch):
     """On every class of the tlrs-certify benchmark, with a random twist and
     an eta^2 = -1 twist wherever L has one: the block images the distance
-    oracle hands the walk are, word by word, those of the per-word route
+    oracle hands the walk, each built on first read, are word by word
+    those of the per-word route
     (omega^s * b built, evaluated and turned into matrices); the Gram
     entries are the pairwise forms, and the closed-form blocks those of
     the element-operator reference."""
@@ -405,7 +462,8 @@ def test_per_code_routes_match_their_references(monkeypatch):
                 tlrs.min_sum_rank_distance(code)
                 per_word = [[t.matrix() for t in ctx.eval_map(SkewPoly(tower, [w]) * b)]
                             for b in code.basis_polys for w in tower.mid_basis()]
-                assert seen.pop() == per_word, case
+                words = seen.pop()
+                assert [words[i] for i in range(len(words))] == per_word, case
                 report = tlrs.gram(code)
                 for i, f in enumerate(code.basis_polys):
                     for j, g in enumerate(code.basis_polys):
