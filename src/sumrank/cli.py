@@ -253,11 +253,11 @@ def cmd_acd_sweep(args) -> int:
         lam = tuple(rng.sample(units, ell))
         gamma = tops[rng.randrange(len(tops))]
         params = acd.AcdParams(tower, k, lam, gamma, tower.skew_unit())
-        verdicts = acd.acd_check(params)
-        hull = acd.acd_oracle(params, max_hull=max_hull)
-        agree = verdicts.matrix_ok == (hull == 0)
-        if verdicts.structured_ok is not None:
-            agree = agree and verdicts.structured_ok == verdicts.matrix_ok
+        report = acd.build_report(params, max_hull=max_hull)
+        hull = report.hull_dim
+        agree = report.acd_by_matrix == (hull == 0)
+        if report.acd_by_structured is not None:
+            agree = agree and report.acd_by_structured == report.acd_by_matrix
         if not agree:
             disagreements += 1
         emitter.emit(
@@ -270,10 +270,10 @@ def cmd_acd_sweep(args) -> int:
                 "ell": ell,
                 "lambda": [str(x) for x in lam],
                 "gamma": str(gamma),
-                "det_t": str(verdicts.det_t),
-                "acd_by_matrix": verdicts.matrix_ok,
-                "acd_by_structured": verdicts.structured_ok,
-                "structured_reason": verdicts.structured_reason,
+                "det_t": str(report.det_t),
+                "acd_by_matrix": report.acd_by_matrix,
+                "acd_by_structured": report.acd_by_structured,
+                "structured_reason": report.structured_reason,
                 "hull_dim": hull,
                 "acd_by_oracle": hull == 0,
                 "agree": agree,

@@ -16,6 +16,7 @@ subgroups of F_q*.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 from .errors import (
     BadTowerError,
@@ -26,17 +27,6 @@ from .errors import (
 
 MID = "mid"
 TOP = "top"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -186,15 +176,22 @@ def _reduction_rows(ops, modulus):
     return rows
 
 
+def _order(ops, a) -> int:
+    """ord(a) for a nonzero a in a field of s = ops.size elements: s - 1
+    stripped of each prime factor t while a^(e/t) = 1."""
+    e = ops.size - 1
+    for t in _prime_factors(e):
+        while e % t == 0 and _power(ops, a, e // t) == ops.one:
+            e //= t
+    return e
+
+
 def _binomial_is_irreducible(ops, a, d) -> bool:
     """Whether x^d - a (a nonzero, over a field of s = ops.size elements) is
     irreducible: iff every prime factor of d divides e = ord(a) but not
     (s - 1)/e, and 4 | s - 1 when 4 | d (Lidl-Niederreiter, Finite Fields,
     Thm 3.75).  Every binomial of degree 1 is."""
-    e = ops.size - 1  # stripped below to ord(a)
-    for t in _prime_factors(e):
-        while e % t == 0 and _power(ops, a, e // t) == ops.one:
-            e //= t
+    e = _order(ops, a)
     cofactor = (ops.size - 1) // e
     if any(e % t or cofactor % t == 0 for t in _prime_factors(d)):
         return False
@@ -340,17 +337,6 @@ class Elem:
     def __hash__(self):
         return hash((self.level, self.coords))
 
-    # -- structure maps ------------------------------------------------------
-
-    def frobenius(self, h: int = 1) -> "Elem":
-        return self.tower.frobenius(self, h)
-
-    def trace(self) -> "Elem":
-        return self.tower.trace(self)
-
-    def norm(self) -> "Elem":
-        return self.tower.norm(self)
-
     # -- text form -----------------------------------------------------------
 
     def __str__(self):
@@ -384,7 +370,7 @@ class FieldTower:
         top_modulus=None,
         generator_of_units=None,
     ):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise BadTowerError(f"p = {p} is not prime")
         if m < 1 or r < 1:
             raise BadTowerError("extension degrees must be >= 1")
@@ -467,7 +453,9 @@ class FieldTower:
         self._skew_unit = None  # lazily located on first request
 
         # theta^h images of the power basis: _frob[h][t] = (u^t)^(q^h), as
-        # coordinates; the coordinate kernels of skew and tlrs read it too
+        # coordinates (_frob[0] is the power basis itself); the coordinate
+        # kernels of skew and tlrs read it too.  They sum over h to the
+        # trace row, _trace_row[t] = Tr(u^t) in F_q.
         u = self.top([0, 1] + [0] * (r - 2)) if r > 1 else self.top_one()
         self._frob: list[list[tuple]] = []
         for h in range(r):
@@ -477,6 +465,7 @@ class FieldTower:
                 row.append(acc.coords)
                 acc = acc * w
             self._frob.append(row)
+        self._trace_row = [reduce(self._mid_add, [i[0] for i in col]) for col in zip(*self._frob)]
 
     # -- raw mid-level coordinate arithmetic --------------------------------
 
@@ -663,11 +652,14 @@ class FieldTower:
 
     # -- structure maps --------------------------------------------------------
 
+    def _top_coords(self, x: Elem, name: str) -> tuple:
+        if x.level != TOP:
+            raise LevelMismatchError(f"{name} acts on top-level elements")
+        return x.coords
+
     def frobenius(self, x: Elem, h: int = 1) -> Elem:
         """theta^h(x) = x^(q^h) for x in L; fixes F_q pointwise."""
-        if x.level != TOP:
-            raise LevelMismatchError("frobenius acts on top-level elements")
-        return Elem(self, TOP, self._theta(x.coords, h))
+        return Elem(self, TOP, self._theta(self._top_coords(x, "frobenius"), h))
 
     def _theta(self, x: tuple, h: int) -> tuple:
         """theta^h on the coordinates of a top element: sum_t x_t theta^h(u^t)."""
@@ -685,19 +677,20 @@ class FieldTower:
                 )
         return acc
 
+    def _trace(self, x: tuple) -> tuple:
+        """Tr_{L|F_q} on the coordinates of a top element; the trace is
+        F_q-linear, so it is sum_t x_t Tr(u^t)."""
+        return reduce(self._mid_add, map(self._mid_mul, x, self._trace_row))
+
     def trace(self, x: Elem) -> Elem:
         """Tr_{L|F_q}(x) = sum of theta^h(x), returned at mid level."""
-        acc = x
-        for h in range(1, self.r):
-            acc = acc + self.frobenius(x, h)
-        return self.as_mid(acc)
+        return Elem(self, MID, self._trace(self._top_coords(x, "trace")))
 
     def norm(self, x: Elem) -> Elem:
         """N_{L|F_q}(x) = product of theta^h(x), returned at mid level."""
-        acc = x
-        for h in range(1, self.r):
-            acc = acc * self.frobenius(x, h)
-        return self.as_mid(acc)
+        x = self._top_coords(x, "norm")
+        images = (self._theta(x, h) for h in range(self.r))
+        return self.as_mid(Elem(self, TOP, reduce(self._top_mul, images)))
 
     def norm_preimage(self, lam: Elem) -> Elem:
         """Any alpha in L with N(alpha) = lam; the norm is onto F_q*, and the
@@ -760,16 +753,9 @@ class FieldTower:
 
     def multiplicative_order(self, x: Elem) -> int:
         """Order of x in F_q* (0 for the zero element)."""
-        if not x:
-            return 0
-        order = 1
-        acc = x
-        while acc != self.mid_one():
-            acc = acc * x
-            order += 1
-            if order > self.q:
-                raise BadTowerError("order computation ran away")
-        return order
+        if x.level != MID:
+            raise LevelMismatchError("multiplicative_order acts on mid-level elements")
+        return _order(self._mid_ops, x.coords) if x else 0
 
     def _find_generator(self) -> Elem:
         for cand in self.mid_units():

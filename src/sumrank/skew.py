@@ -186,10 +186,6 @@ class ThetaPoly:
         self.coeffs = tuple(tower.top(c) for c in coeffs)
 
     @classmethod
-    def zero(cls, tower: FieldTower) -> "ThetaPoly":
-        return cls(tower, [tower.top_zero()] * tower.r)
-
-    @classmethod
     def identity(cls, tower: FieldTower) -> "ThetaPoly":
         return cls(
             tower, [tower.top_one()] + [tower.top_zero()] * (tower.r - 1)

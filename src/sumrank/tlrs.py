@@ -12,8 +12,10 @@ here is certified twice: once through that closed form and once through a
 brute-force hull oracle that never touches the Gram matrix.  The oracle
 counts dim(C intersect C-perp) as rank C + dim C-perp - rank [C; C-perp],
 with C-perp the kernel of the code's form values on the X-slots that the
-basis residues occupy.  Per code, each route reduces or evaluates each
-basis residue at most once and computes on coordinates, building
+basis residues occupy.  The basis polynomials have degree at most k <
+ell*r, so they are their own residues and no route reduces them.  Per
+code, each route evaluates each basis residue at most once and computes
+on coordinates through the tower's trace and Frobenius table, building
 elements only for returned values.
 """
 
@@ -74,21 +76,19 @@ class TlrsCode:
     k_basis_of_l: tuple
 
 
-def _power_basis(tower: FieldTower):
-    r = tower.r
-    return tuple(tower.top([0] * t + [1] + [0] * (r - 1 - t)) for t in range(r))
-
-
 def build_code(params: TlrsParams) -> TlrsCode:
+    """The basis over the power basis beta_t = u^t, whose images
+    theta^h(beta_t) the tower's Frobenius table holds."""
     tower = params.ctx.tower
-    betas = _power_basis(tower)
+    mul = tower.coord_ops(TOP).mul
+    betas = tuple(Elem(tower, TOP, b) for b in tower._frob[0])
     polys = []
     for j in range(1, params.k):
         for beta in betas:
             polys.append(SkewPoly.monomial(tower, beta, j))
     gap = [tower.top_zero()] * (params.k - 1)
-    for beta in betas:
-        twist = params.eta * tower.frobenius(beta, params.h)
+    for beta, image in zip(betas, tower._frob[params.h]):
+        twist = Elem(tower, TOP, mul(params.eta.coords, image))
         polys.append(SkewPoly(tower, [beta, *gap, twist]))
     return TlrsCode(params, tuple(polys), betas)
 
@@ -99,29 +99,21 @@ def lcd_criterion(params: TlrsParams) -> bool:
     return bool(tower.top_one() + params.eta * params.eta)
 
 
-def _trace(tower: FieldTower):
-    """Tr: L -> F_q on coordinates, F_q-linear: x -> sum_t x_t Tr(u^t).  The
-    images theta^h(u^t) in the Frobenius table sum over h to Tr(u^t) in F_q."""
-    ops = tower.coord_ops(MID)
-    row = [reduce(ops.add, (images[t][0] for images in tower._frob)) for t in range(tower.r)]
-    return lambda x: reduce(ops.add, map(ops.mul, x, row))
-
-
-def _power_traces(tower: FieldTower, trace, *xs) -> list:
+def _power_traces(tower: FieldTower, *xs) -> list:
     """Per coordinates x in xs, Tr(x u^e) for e = 0 .. 2r - 2: in the power
     basis b_t = u^t, Tr(x b_s b_t) = Tr(x u^(s+t)), so the r x r matrix of
     that form is Hankel, entry (s, t) being item s + t."""
     ops = tower.coord_ops(TOP)
-    betas = [b.coords for b in _power_basis(tower)]
+    betas = tower._frob[0]
     powers = betas + [ops.mul(betas[-1], b) for b in betas[1:]]  # u^(r-1) u^t = u^(r-1+t)
-    return [[trace(y if x == ops.one else ops.mul(x, y)) for y in powers] for x in xs]
+    return [[tower._trace(y if x == ops.one else ops.mul(x, y)) for y in powers] for x in xs]
 
 
-def _pairing(tower: FieldTower, trace, f: SkewPoly, g: SkewPoly) -> tuple:
+def _pairing(tower: FieldTower, f: SkewPoly, g: SkewPoly) -> tuple:
     """Coordinates of Tr(sum_i f_i g_i) for reduced f and g."""
     ops = tower.coord_ops(TOP)
     products = (ops.mul(a.coords, b.coords) for a, b in zip(f.coeffs, g.coeffs) if a and b)
-    return trace(reduce(ops.add, products, ops.zero))
+    return tower._trace(reduce(ops.add, products, ops.zero))
 
 
 @record
@@ -176,12 +168,12 @@ def gram_blocks(code: TlrsCode):
     Hankel in the power basis b_t = u^t of the code."""
     params = code.params
     tower = params.ctx.tower
-    ops, trace, r = tower.coord_ops(TOP), _trace(tower), tower.r
+    ops, r = tower.coord_ops(TOP), tower.r
     eta = params.eta.coords
     alpha = tower._theta(ops.add(ops.one, ops.mul(eta, eta)), -params.h)
     m_block, b_block = (
         Mat(tower, MID, r, r, [[Elem(tower, MID, v) for v in traces[s:s + r]] for s in range(r)])
-        for traces in _power_traces(tower, trace, ops.one, alpha)
+        for traces in _power_traces(tower, ops.one, alpha)
     )
     return m_block, b_block, Elem(tower, TOP, alpha)
 
@@ -194,15 +186,13 @@ def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
     ``with_oracle`` the brute-force hull dimension is filled in as well.
     """
     params = code.params
-    ctx = params.ctx
-    tower = ctx.tower
-    trace = _trace(tower)
-    residues = [ctx.reduce(f) for f in code.basis_polys]
-    n = len(residues)
+    tower = params.ctx.tower
+    polys = code.basis_polys
+    n = len(polys)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = Elem(tower, MID, _pairing(tower, trace, residues[i], residues[j]))
+            v = Elem(tower, MID, _pairing(tower, polys[i], polys[j]))
             rows[i][j] = v
             rows[j][i] = v
     gram_mat = Mat(tower, MID, n, n, rows)
@@ -226,14 +216,14 @@ def hull_oracle(code: TlrsCode) -> int:
     for complementary-dual codes and equal to dim C for self-orthogonal
     ones.  The form is block diagonal, one copy of the trace-form Gram t0
     of the power basis per X-slot, so a row's form values are its slots
-    times t0, slot by slot.  The slots above D, the residues' highest
-    degree, pair only among themselves, so C lies in the span W of slots
-    0..D and meets C-perp only in C-perp intersect W: the kernel of the
-    form values on W's (D+1)r coordinates, where both are counted."""
-    ctx = code.params.ctx
-    tower = ctx.tower
+    times t0, slot by slot.  The slots above D, the highest degree of the
+    basis polynomials (each its own residue), pair only among themselves,
+    so C lies in the span W of slots 0..D and meets C-perp only in C-perp
+    intersect W: the kernel of the form values on W's (D+1)r coordinates,
+    where both are counted."""
+    tower = code.params.ctx.tower
     ops, mid, r = tower.coord_ops(TOP), tower.coord_ops(MID), tower.r
-    [traces] = _power_traces(tower, _trace(tower), ops.one)
+    [traces] = _power_traces(tower, ops.one)
     t0 = [traces[s:s + r] for s in range(r)]
 
     def slot_form(c):
@@ -241,10 +231,10 @@ def hull_oracle(code: TlrsCode) -> int:
         serve as columns); a zero slot pairs to zeros."""
         return c if c == ops.zero else [reduce(mid.add, map(mid.mul, c, col)) for col in t0]
 
-    residues = [[c.coords for c in ctx.reduce(f).coeffs] for f in code.basis_polys]
-    slots = max(map(len, residues))
+    polys = [[c.coords for c in f.coeffs] for f in code.basis_polys]
+    slots = max(map(len, polys))
     rows, pairings = [], []
-    for coeffs in residues:
+    for coeffs in polys:
         coeffs += [ops.zero] * (slots - len(coeffs))
         rows.append([Elem(tower, MID, x) for c in coeffs for x in c])
         pairings.append([Elem(tower, MID, x) for c in coeffs for x in slot_form(c)])

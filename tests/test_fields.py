@@ -13,7 +13,7 @@ from sumrank.errors import (
     NotADivisorError,
     ZeroInputError,
 )
-from sumrank.fields import MID, FieldTower
+from sumrank.fields import MID, TOP, FieldTower
 
 
 def rand_mid(tower, rng):
@@ -228,6 +228,43 @@ def test_trace_equals_matrix_trace(towers):
             assert diag == tower.trace(x)
 
 
+def _frobenius_sum_trace(tower, x):
+    """Reference: Tr(x) as the sum of the r Frobenius images of x."""
+    acc = x
+    for h in range(1, tower.r):
+        acc = acc + tower.frobenius(x, h)
+    return tower.as_mid(acc)
+
+
+def _frobenius_product_norm(tower, x):
+    """Reference: N(x) as the product of the r Frobenius images of x."""
+    acc = x
+    for h in range(1, tower.r):
+        acc = acc * tower.frobenius(x, h)
+    return tower.as_mid(acc)
+
+
+def test_trace_and_norm_match_their_frobenius_references(towers):
+    """The coordinate trace (sum_t x_t Tr(u^t)) and the norm over the
+    coordinate Frobenius images equal the element-operator sum and
+    product of the r images, on every element of every tower."""
+    for tower in towers:
+        for x in tower.top_elements():
+            assert tower.trace(x) == _frobenius_sum_trace(tower, x), (tower, x)
+            assert tower.norm(x) == _frobenius_product_norm(tower, x), (tower, x)
+
+
+@pytest.mark.parametrize("name, given, wanted", [("trace", MID, TOP), ("norm", MID, TOP),
+                                                  ("multiplicative_order", TOP, MID)])
+def test_structure_maps_refuse_the_other_level(towers, name, given, wanted):
+    """trace and norm act on L and multiplicative_order on F_q; an element
+    of the other level is refused at every r, also at r = 1, where both
+    levels are the same field."""
+    for tower in towers:
+        with pytest.raises(LevelMismatchError, match=f"{name} acts on {wanted}-level elements"):
+            getattr(tower, name)(tower.one(given))
+
+
 # ---------------------------------------------------------------- norm preimages
 
 
@@ -321,6 +358,24 @@ def test_subgroup_full(f25):
     for a in lams:
         for b in lams:
             assert (a * b).coords in members
+
+
+def _naive_order(tower, x):
+    """Reference: the least n >= 1 with x^n = 1, by repeated products."""
+    order, acc = 1, x
+    while acc != tower.mid_one():
+        acc, order = acc * x, order + 1
+    return order
+
+
+def test_multiplicative_order_matches_naive_loop(towers, f2401):
+    """The order found by stripping the prime factors of q - 1 equals the
+    product loop's on every unit of F_q, for q = 5, 8, 9, 13 and 49; the
+    zero element has order 0."""
+    for tower in (*towers, FieldTower(2, 3, 1), f2401):
+        for x in tower.mid_units():
+            assert tower.multiplicative_order(x) == _naive_order(tower, x), (tower, x)
+        assert tower.multiplicative_order(tower.mid_zero()) == 0
 
 
 def test_subgroup_requires_divisor(f25):

@@ -91,6 +91,32 @@ def test_param_validation(f25, ctx25):
         tlrs.TlrsParams(ctx25, 1, 0, FieldTower(5, 1, 2).parse_top("2+1u"))
 
 
+def test_basis_polynomials_are_their_own_residues():
+    """At the largest k = ell*r - 1, on every tower and length of the
+    tlrs-certify classes and every h, each basis polynomial has degree
+    below ell*r, so QuotientCtx.reduce hands it back as it is: gram and
+    hull_oracle pair the basis polynomials without reducing them."""
+    rng = random.Random(64)
+    largest = {}
+    for shape, _, max_ell in CERTIFY_CLASSES:
+        largest[shape] = max(max_ell, largest.get(shape, 0))
+    cases = 0
+    for shape, max_ell in largest.items():
+        tower = FieldTower(*shape)
+        units = list(tower.top_units())
+        for ell in range(1, max_ell + 1):
+            if (tower.q - 1) % ell:
+                continue
+            ctx = QuotientCtx.build(tower, ell)
+            k = ctx.modulus_degree - 1
+            for h in range(tower.r):
+                code = tlrs.build_code(tlrs.TlrsParams(ctx, k, h, rng.choice(units)))
+                assert max(f.degree for f in code.basis_polys) == k
+                assert all(ctx.reduce(f) is f for f in code.basis_polys), (shape, ell, h)
+                cases += 1
+    assert cases == 2 * 3 + 2 * 3 + 2 * 4 + 3 * 3 + 3 * 3
+
+
 # ---------------------------------------------------------------- bilinear form
 
 
@@ -98,7 +124,7 @@ def form(f, g, ctx):
     """<F, G> = Tr(sum_i f_i g_i) on the reduced representatives, through
     the pairing that ``tlrs.gram`` computes its entries with."""
     tower = ctx.tower
-    return Elem(tower, MID, tlrs._pairing(tower, tlrs._trace(tower), ctx.reduce(f), ctx.reduce(g)))
+    return Elem(tower, MID, tlrs._pairing(tower, ctx.reduce(f), ctx.reduce(g)))
 
 
 def test_form_golden_entry(f25, ctx25, example_code):
