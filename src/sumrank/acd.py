@@ -54,9 +54,10 @@ class AcdParams:
     alpha^q = -alpha completing the basis {1, alpha} of F_{q^2} over F_q;
     ``twist_scalar`` is the gamma multiplying the degree-k coefficient.
 
-    The generator matrix, the power sums p_0..p_2k and the trace matrix T
-    are computed once per parameter set, on first use, and shared by every
-    certificate drawn from it.
+    The generator matrix, the power sums p_0..p_2k, the trace matrix T and
+    the verdicts of ``acd_check`` and ``mds_criterion`` are computed once
+    per parameter set, on first use, and shared by every certificate and
+    report drawn from it.
     """
 
     tower: FieldTower
@@ -126,6 +127,14 @@ class AcdParams:
     @cached_property
     def _t(self) -> Mat:
         return t_matrix(self)
+
+    @cached_property
+    def _verdicts(self) -> "AcdVerdicts":
+        return acd_check(self)
+
+    @cached_property
+    def _mds(self) -> bool:
+        return mds_criterion(self)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +610,9 @@ def lambda_search(
 
     def finish(lambda_set) -> AcdParams | None:
         params = AcdParams.make(tower, k, lambda_set)
-        verdicts = acd_check(params)
+        verdicts = params._verdicts
         certifiable = verdicts.matrix_ok and verdicts.structured_ok in (True, None)
-        if certifiable and mds_criterion(params):
+        if certifiable and params._mds:
             return params
         return None
 
@@ -720,7 +729,7 @@ def build_report(
     max_hull: int = DEFAULT_MAX_HULL,
 ) -> AcdReport:
     tower = params.tower
-    verdicts = acd_check(params)
+    verdicts = params._verdicts
     ps = params._power_sums
     hull = acd_oracle(params, max_hull=max_hull) if with_oracle else None
     dist = (
@@ -741,7 +750,7 @@ def build_report(
         acd_by_matrix=verdicts.matrix_ok,
         acd_by_structured=verdicts.structured_ok,
         structured_reason=verdicts.structured_reason,
-        mds_by_criterion=mds_criterion(params),
+        mds_by_criterion=params._mds,
         acd_by_oracle=None if hull is None else hull == 0,
         hull_dim=hull,
         min_distance=dist,

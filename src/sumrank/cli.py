@@ -388,15 +388,7 @@ def _add_common(sub, *guards):
         sub.add_argument(flag, type=int, default=None, help=_GUARD_HELP[flag])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sumrank",
-        description="Construct twisted evaluation codes and certify their"
-        " complementary-dual and distance properties.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("tlrs-build", help="build one twisted code and certify it")
+def _tlrs_build_args(s):
     _add_field_args(s)
     s.add_argument("--ell", type=int, required=True, help="evaluation subgroup order")
     s.add_argument("--k", type=int, required=True)
@@ -409,9 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, "--max-enum")
     s.set_defaults(func=cmd_tlrs_build)
 
-    s = subs.add_parser(
-        "tlrs-sweep", help="sweep eta (and optionally k, h) with both verdicts"
-    )
+
+def _tlrs_sweep_args(s):
     _add_field_args(s)
     s.add_argument("--ell", type=int, required=True)
     s.add_argument("--k", type=int, default=None, help="fixed k (default: all)")
@@ -420,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(func=cmd_tlrs_sweep)
 
-    s = subs.add_parser("acd-build", help="build one additive twisted code")
+
+def _acd_build_args(s):
     _add_field_args(s, with_r=False)
     s.add_argument("--k", type=int, required=True)
     s.add_argument(
@@ -438,9 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, "--max-enum", "--max-hull")
     s.set_defaults(func=cmd_acd_build)
 
-    s = subs.add_parser(
-        "acd-search", help="search for an evaluation set that certifies"
-    )
+
+def _acd_search_args(s):
     _add_field_args(s, with_r=False)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--ell", type=int, required=True)
@@ -451,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, "--max-enum", "--max-hull")
     s.set_defaults(func=cmd_acd_search)
 
-    s = subs.add_parser(
-        "acd-sweep", help="random parameter sweep comparing criterion vs oracle"
-    )
+
+def _acd_sweep_args(s):
     _add_field_args(s, with_r=False)
     s.add_argument("--count", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
@@ -461,18 +451,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, "--max-hull")
     s.set_defaults(func=cmd_acd_sweep)
 
-    s = subs.add_parser(
-        "verify-paper-examples",
-        help="re-run the bundled worked examples and verify every value",
-    )
-    s.set_defaults(func=cmd_verify_examples)
 
+# name, help line, and the function adding the subcommand's arguments
+_SUBCOMMANDS = (
+    ("tlrs-build", "build one twisted code and certify it", _tlrs_build_args),
+    ("tlrs-sweep", "sweep eta (and optionally k, h) with both verdicts", _tlrs_sweep_args),
+    ("acd-build", "build one additive twisted code", _acd_build_args),
+    ("acd-search", "search for an evaluation set that certifies", _acd_search_args),
+    ("acd-sweep", "random parameter sweep comparing criterion vs oracle", _acd_sweep_args),
+    (
+        "verify-paper-examples",
+        "re-run the bundled worked examples and verify every value",
+        lambda s: s.set_defaults(func=cmd_verify_examples),
+    ),
+)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv.  Every subcommand is listed, so the top-level
+    help and usage errors never change, but only those named in argv get
+    their arguments: parsing argv reads no other."""
+    parser = argparse.ArgumentParser(
+        prog="sumrank",
+        description="Construct twisted evaluation codes and certify their"
+        " complementary-dual and distance properties.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, add_args in _SUBCOMMANDS:
+        s = subs.add_parser(name, help=help_line)
+        if name in argv:
+            add_args(s)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except TooLargeError as exc:

@@ -28,6 +28,10 @@ from .errors import (
 MID = "mid"
 TOP = "top"
 
+# A level of at most this many elements multiplies through exp/log tables
+# once it has made as many products as the tables have entries.
+_TABLE_MAX = 4096
+
 
 def _prime_factors(n: int) -> list[int]:
     out = []
@@ -246,12 +250,15 @@ def split_items(text: str, given: str = "") -> list:
     return tokens
 
 
-def _list_items(text: str) -> list:
-    """The items of a '[a,b,..]' list."""
+def _list_items(text: str, most: int, what: str) -> list:
+    """The items of a '[a,b,..]' list of at most ``most`` coordinates."""
     if not text.endswith("]"):
         raise ValueError(f"cannot parse field element {text!r}: a list must end with ']'")
     body = text[1:-1]
-    return split_items(body, text) if body.strip() else []
+    items = split_items(body, text) if body.strip() else []
+    if len(items) > most:
+        raise ValueError(f"cannot parse field element {text!r}: {what} = {most}")
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +317,12 @@ class Elem:
         if not other:
             raise ZeroDivisionError("division by zero field element")
         ops = self.tower._ops[self.level]
-        return Elem(
-            self.tower, self.level, ops.mul(self.coords, ops.inv(other.coords))
-        )
+        return Elem(self.tower, self.level, ops.mul(self.coords, ops.inv(other.coords)))
 
     def __pow__(self, e: int):
         ops = self.tower._ops[self.level]
         base = self.coords
-        if e < 0:
-            if not self:
-                raise ZeroDivisionError("inverse of zero")
+        if e < 0:  # ops.inv refuses zero
             base, e = ops.inv(base), -e
         return Elem(self.tower, self.level, _power(ops, base, e))
 
@@ -357,8 +360,8 @@ class FieldTower:
     Moduli are explicit constructor inputs so a particular field model can
     be pinned exactly; when omitted, a deterministic default is chosen
     (binomials x^d - a with the smallest admissible a first, then the
-    lexicographically smallest irreducible).  All operations are pure and
-    the tower is immutable, so instances can be shared freely.
+    lexicographically smallest irreducible).  Operations are pure and the
+    tables a level builds on the way change no result, so towers can be shared.
     """
 
     def __init__(
@@ -467,6 +470,51 @@ class FieldTower:
             self._frob.append(row)
         self._trace_row = [reduce(self._mid_add, [i[0] for i in col]) for col in zip(*self._frob)]
 
+        # Construction multiplies on the convolution; from here on, a level
+        # small enough for tables counts its products (m = 1 keeps F_p's).
+        for level, ops in self._ops.items():
+            if ops.size <= _TABLE_MAX and (level == TOP or m > 1):
+                ops.mul = self._counted(level, ops)
+
+    def _counted(self, level: str, ops: _CoeffOps):
+        """The level's product: its convolution up to the n-th call, n = size
+        - 1, which builds the tables (for n more convolutions), then theirs."""
+        conv, left = ops.mul, ops.size - 1
+
+        def mul(a, b):
+            nonlocal left
+            left -= 1
+            if left > 0:
+                return conv(a, b)
+            if ops.mul is mul:  # no tables yet; once built, only cached copies get here
+                self._tabulate(level, ops, conv)
+            return ops.mul(a, b)
+
+        return mul
+
+    def _tabulate(self, level: str, ops: _CoeffOps, conv) -> None:
+        """Zech's exp/log tables (K. Huber, IEEE Trans. IT 36, 1990) from the
+        least generator g in canonical order: exp[i] = g^i, stored twice so a
+        sum of two logs indexes it, and log its inverse.  They replace the
+        level's product and inverse and, at the top, theta^h: log times q^h."""
+        n, zero = ops.size - 1, ops.zero
+        by_conv = _CoeffOps(zero, ops.one, None, None, None, conv, None, ops.size)
+        units = self.top_units() if level == TOP else self.mid_units()
+        g = next(x.coords for x in units if _order(by_conv, x.coords) == n)
+        exp = list(itertools.accumulate(itertools.repeat(g, n - 1), conv, initial=ops.one))
+        log = {x: i for i, x in enumerate(exp)}
+        exp += exp
+
+        def inv(a):
+            if a == zero:
+                raise ZeroDivisionError("inverse of zero")
+            return exp[n - log[a]]
+
+        ops.mul = lambda a, b: zero if a == zero or b == zero else exp[log[a] + log[b]]
+        ops.inv = inv
+        if level == TOP:
+            self._theta = lambda x, h: x if x == zero else exp[log[x] * self.q ** (h % self.r) % n]
+
     # -- raw mid-level coordinate arithmetic --------------------------------
 
     def _mid_add(self, a, b):
@@ -524,23 +572,22 @@ class FieldTower:
         return tuple(self._mid_neg(x) for x in a)
 
     def _top_mul(self, a, b):
-        r = self.r
+        r, mul, zero = self.r, self._mid_ops.mul, self._mid_ops.zero
         if r == 1:
-            return (self._mid_mul(a[0], b[0]),)
-        zero = self._mid_ops.zero
+            return (mul(a[0], b[0]),)
         conv = [zero] * (2 * r - 1)
         for i, x in enumerate(a):
             if x != zero:
                 for j, y in enumerate(b):
                     if y != zero:
-                        conv[i + j] = self._mid_add(conv[i + j], self._mid_mul(x, y))
+                        conv[i + j] = self._mid_add(conv[i + j], mul(x, y))
         out = list(conv[:r])
         for i in range(r - 1):
             c = conv[r + i]
             if c != zero:
                 red = self._top_red[i]
                 for j in range(r):
-                    out[j] = self._mid_add(out[j], self._mid_mul(c, red[j]))
+                    out[j] = self._mid_add(out[j], mul(c, red[j]))
         return tuple(out)
 
     def _top_inv(self, a):
@@ -666,21 +713,17 @@ class FieldTower:
         h %= self.r
         if h == 0:
             return x
-        table = self._frob[h]
-        zero = self._mid_ops.zero
+        zero, mul = self._mid_ops.zero, self._mid_ops.mul
         acc = self._top_ops.zero
         for t, c in enumerate(x):
             if c != zero:
-                img = table[t]
-                acc = self._top_add(
-                    acc, tuple(self._mid_mul(c, part) for part in img)
-                )
+                acc = self._top_add(acc, tuple(mul(c, part) for part in self._frob[h][t]))
         return acc
 
     def _trace(self, x: tuple) -> tuple:
         """Tr_{L|F_q} on the coordinates of a top element; the trace is
         F_q-linear, so it is sum_t x_t Tr(u^t)."""
-        return reduce(self._mid_add, map(self._mid_mul, x, self._trace_row))
+        return reduce(self._mid_add, map(self._mid_ops.mul, x, self._trace_row))
 
     def trace(self, x: Elem) -> Elem:
         """Tr_{L|F_q}(x) = sum of theta^h(x), returned at mid level."""
@@ -690,7 +733,7 @@ class FieldTower:
         """N_{L|F_q}(x) = product of theta^h(x), returned at mid level."""
         x = self._top_coords(x, "norm")
         images = (self._theta(x, h) for h in range(self.r))
-        return self.as_mid(Elem(self, TOP, reduce(self._top_mul, images)))
+        return self.as_mid(Elem(self, TOP, reduce(self._top_ops.mul, images)))
 
     def norm_preimage(self, lam: Elem) -> Elem:
         """Any alpha in L with N(alpha) = lam; the norm is onto F_q*, and the
@@ -797,7 +840,8 @@ class FieldTower:
     def parse_mid(self, text: str) -> Elem:
         text = text.strip()
         if text.startswith("["):
-            coords = [_parse_int(t, text) for t in _list_items(text)]
+            items = _list_items(text, self.m, "mid coords must have length m")
+            coords = [_parse_int(t, text) for t in items]
             return self.mid(coords + [0] * (self.m - len(coords)))
         return self.mid(_parse_int(text, text))
 
@@ -810,7 +854,8 @@ class FieldTower:
         """
         text = text.strip().replace(" ", "")
         if text.startswith("["):
-            parts = [self.parse_mid(t) for t in _list_items(text)]
+            items = _list_items(text, self.r, "top coords must have length r")
+            parts = [self.parse_mid(t) for t in items]
             return self.top(parts + [self.mid_zero()] * (self.r - len(parts)))
         if self.m != 1:
             raise ValueError("textual element syntax requires m = 1; use [..] lists")

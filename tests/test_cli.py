@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sumrank.cli import main
+from sumrank.cli import build_parser, main
 
 EXAMPLE_BUILD = [
     "tlrs-build",
@@ -202,6 +202,16 @@ def test_bad_input_names_the_input(capsys, monkeypatch):
          "invalid configuration: cannot parse field element '2,,3': an item is empty"),
         ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3,"],
          "invalid configuration: cannot parse field element '2,3,': an item is empty"),
+        # a coordinate list longer than its level's degree names the text given
+        ({}, ["acd-build", "--p", "5", "--k", "1", "--lambda", "1,2", "--gamma", "[1,2,3]"],
+         "invalid configuration: cannot parse field element '[1,2,3]':"
+         " top coords must have length r = 2\n"),
+        ({}, ["tlrs-build", "--p", "5", "--ell", "2", "--k", "1", "--eta", "[1,2,3]"],
+         "invalid configuration: cannot parse field element '[1,2,3]':"
+         " top coords must have length r = 2\n"),
+        ({}, ["acd-build", "--p", "3", "--m", "2", "--k", "1", "--lambda", "[1,2,3],[0,1]"],
+         "invalid configuration: cannot parse field element '[1,2,3]':"
+         " mid coords must have length m = 2\n"),
     ]
     for env, argv, named, *exit_code in cases:
         monkeypatch.delenv("SUMRANK_MAX_ENUM", raising=False)
@@ -240,6 +250,28 @@ def test_pinned_corpus_byte_identical(capsys, monkeypatch):
     assert not mismatches, mismatches
 
 
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch):
+    """The top-level help, each subcommand's help and the usage errors (no
+    subcommand, an unknown one, a missing required flag, an unknown flag,
+    a bad choice) keep their exit codes and bytes, pinned in
+    cli_usage.json at an 80-column terminal, though the parser gives
+    arguments only to the subcommand named on the command line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = json.loads((Path(__file__).resolve().parent / "cli_usage.json").read_text())
+    for entry in pinned:
+        try:
+            code = main(entry["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            entry["exit"], entry["stdout"], entry["stderr"]
+        ), entry["argv"]
+    # a subcommand not named in argv is listed but gets no arguments
+    _, unread = build_parser(["acd-build"]).parse_known_args(["tlrs-build", "--p", "5"])
+    assert unread == ["--p", "5"]
+
+
 def test_lambda_points_may_be_coordinate_lists(capsys):
     """Commas inside [..] belong to one point; an unclosed bracket is an
     error that names its token, not a silently truncated point."""
@@ -274,11 +306,12 @@ def test_twist_coordinates_may_be_nested_lists(capsys):
 
 def test_search_with_tripped_distance_guard_builds_report_once(capsys, monkeypatch):
     """A distance guard that trips leaves min_distance empty without
-    rebuilding the report: one hull oracle, and acd_check once in the
-    search and once in the report."""
+    rebuilding the report: one hull oracle, and acd_check and
+    mds_criterion once each, their verdicts shared by the search and the
+    report."""
     from sumrank import acd
 
-    calls = {"acd_oracle": 0, "acd_check": 0}
+    calls = {"acd_oracle": 0, "acd_check": 0, "mds_criterion": 0}
     for name in calls:
         original = getattr(acd, name)
 
@@ -294,7 +327,7 @@ def test_search_with_tripped_distance_guard_builds_report_once(capsys, monkeypat
          "--with-distance", "--max-enum", "1000"],
     )
     assert code == 0
-    assert calls == {"acd_oracle": 1, "acd_check": 2}
+    assert calls == {"acd_oracle": 1, "acd_check": 1, "mds_criterion": 1}
     assert "min_distance: None\n" in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "bf300c913e3cd026a0b4233e1b2d70b70b31713b751ccac7546a601840a1fefe"

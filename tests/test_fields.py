@@ -24,11 +24,31 @@ def rand_top(tower, rng):
     return tower.top([rand_mid(tower, rng) for _ in range(tower.r)])
 
 
+def tabulated(tower, level):
+    """Whether the level multiplies through its exp/log tables."""
+    return "_tabulate" in tower.coord_ops(level).mul.__qualname__
+
+
+def make_products(tower, level, count):
+    ops = tower.coord_ops(level)
+    for _ in range(count):
+        ops.mul(ops.one, ops.one)
+
+
+def tabulate(tower, levels=(MID, TOP)):
+    """The tower after each of the levels has made as many products as it
+    has units: those with tables use them from then on."""
+    for level in levels:
+        make_products(tower, level, tower.coord_ops(level).size - 1)
+    return tower
+
+
 @pytest.fixture(scope="module")
 def towers(f25, f81):
     """The towers of the property tests: F_25 and F_81 (r = 2), and r = 1,
-    r = 3, and m = 2 with r = 3."""
-    return (f25, f81, FieldTower(5, 1, 1), FieldTower(13, 1, 3), FieldTower(3, 2, 3))
+    r = 3, and m = 2 with r = 3; and F_81 again with both levels on tables."""
+    return (f25, f81, FieldTower(5, 1, 1), FieldTower(13, 1, 3), FieldTower(3, 2, 3),
+            tabulate(FieldTower(3, 2, 2)))
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -148,6 +168,96 @@ def test_field_axioms_random(towers):
                 assert a * b == b * a and a * one == a
                 if a:
                     assert a * a**-1 == one and (b / a) * a == b
+
+
+# ---------------------------------------------------------------- exp/log tables
+
+
+# (p, m, r, level): every level with tables in the perfbench towers, the
+# cubic towers over F_5, F_7 and F_9, and the F_81 of FieldTower(3, 4, 3)
+TABLE_LEVELS = [(5, 1, 2, TOP), (3, 2, 2, MID), (3, 2, 2, TOP), (13, 1, 2, TOP),
+                (17, 1, 2, TOP), (5, 1, 3, TOP), (7, 1, 3, TOP), (3, 2, 3, MID),
+                (3, 2, 3, TOP), (3, 4, 3, MID)]
+
+
+@pytest.mark.parametrize("p, m, r, level", TABLE_LEVELS)
+def test_tables_match_the_convolution(p, m, r, level):
+    """Table products (every pair up to 128 elements, else 6,000 seeded
+    pairs), inverses (every unit) and theta^h (every h, every element)
+    equal the convolution's, FieldTower._top_mul and _mid_mul, and the
+    coordinate Frobenius route."""
+    tower = tabulate(FieldTower(p, m, r), [level])
+    assert tabulated(tower, level)
+    ops = tower.coord_ops(level)
+    conv = tower._top_mul if level == TOP else tower._mid_mul
+    elems = [x.coords for x in (tower.top_elements() if level == TOP else tower.mid_elements())]
+    if len(elems) <= 128:
+        pairs = itertools.product(elems, repeat=2)
+    else:
+        rng = random.Random(f"tables {p} {m} {r}")
+        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(6000)]
+    for a, b in pairs:
+        assert ops.mul(a, b) == conv(a, b), (a, b)
+    for a in elems[1:]:
+        assert conv(a, ops.inv(a)) == ops.one, a
+    with pytest.raises(ZeroDivisionError):
+        ops.inv(ops.zero)
+    if level == TOP:
+        for x in elems:
+            for h in range(-r, 2 * r):
+                assert tower._theta(x, h) == FieldTower._theta(tower, x, h), (x, h)
+
+
+def test_a_tower_builds_no_table_until_it_multiplies():
+    """A fresh tower has no table, and constructing the q = 13 and 17
+    quadratic towers (with their skew units) and F_729 over F_9 builds none."""
+    fresh = [FieldTower(5, 1, 2), FieldTower(13, 1, 2), FieldTower(17, 1, 2),
+             FieldTower(3, 2, 3)]
+    for tower in fresh[1:3]:
+        tower.skew_unit()
+    for tower in fresh:
+        assert not tabulated(tower, MID) and not tabulated(tower, TOP), tower
+
+
+@pytest.mark.parametrize("p, m, r, level", [(5, 1, 2, TOP), (3, 2, 2, MID), (3, 2, 2, TOP)])
+def test_a_level_tabulates_at_its_nth_product(p, m, r, level):
+    tower = FieldTower(p, m, r)
+    n = tower.coord_ops(level).size - 1
+    make_products(tower, level, n - 1)
+    assert not tabulated(tower, level)
+    make_products(tower, level, 1)
+    assert tabulated(tower, level)
+
+
+def test_a_product_cached_before_the_build_stays_correct(monkeypatch):
+    """A caller that took ops.mul before the tables existed builds them, once,
+    at the n-th product, and multiplies correctly before and after."""
+    builds = []
+    real = FieldTower._tabulate
+    monkeypatch.setattr(FieldTower, "_tabulate",
+                        lambda self, level, *a: builds.append(level) or real(self, level, *a))
+    tower = FieldTower(7, 1, 3)
+    mul = tower.coord_ops(TOP).mul
+    rng = random.Random(12)
+    for i in range(3 * (tower.top_order - 1)):
+        a, b = rand_top(tower, rng).coords, rand_top(tower, rng).coords
+        assert mul(a, b) == tower._top_mul(a, b), i
+    assert tabulated(tower, TOP) and mul is not tower.coord_ops(TOP).mul
+    assert builds == [TOP]
+
+
+def test_large_tops_keep_the_convolution():
+    """FieldTower(3, 4, 3)'s top field has 3^12 elements, above the table
+    bound: it never tabulates and multiplies on the convolution, while its
+    F_81 does tabulate."""
+    tower = FieldTower(3, 4, 3)
+    rng = random.Random(13)
+    ops = tower.coord_ops(TOP)
+    for _ in range(200):
+        a, b = rand_top(tower, rng).coords, rand_top(tower, rng).coords
+        assert ops.mul(a, b) == tower._top_mul(a, b)
+    assert ops.mul == tower._top_mul and not tabulated(tower, TOP)
+    assert tabulated(tower, MID)
 
 
 # ---------------------------------------------------------------- frobenius
