@@ -29,9 +29,8 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("AcdParams", "AcdReport", "acd_check", "acd_oracle", "code_basis",
-         "delta_identity_check", "encode", "lambda_search", "mds_criterion",
-         "min_distance_oracle", "power_sums", "root_product_check", "t_matrix",
-         "trace_hermitian"),
+         "lambda_search", "mds_criterion", "min_distance_oracle", "power_sums",
+         "t_matrix"),
         "acd",
     ),
 }

@@ -126,7 +126,7 @@ def cmd_tlrs_build(args) -> int:
         )
         record["sum_rank_singleton_bound"] = tlrs.sum_rank_singleton_bound(params)
     Emitter(args.format).emit(record)
-    return 0
+    return 0 if report.routes_agree else 1
 
 
 def _tlrs_flat_record(params, report) -> dict:
@@ -174,13 +174,8 @@ def cmd_tlrs_sweep(args) -> int:
                 report = tlrs.gram(
                     tlrs.build_code(params), with_oracle=not args.no_oracle
                 )
-                record = _tlrs_flat_record(params, report)
-                emitter.emit(record)
-                if (
-                    report.lcd_by_oracle is not None
-                    and report.lcd_by_criterion != report.lcd_by_oracle
-                ):
-                    mismatches += 1
+                emitter.emit(_tlrs_flat_record(params, report))
+                mismatches += not report.routes_agree
     return 1 if mismatches else 0
 
 
@@ -201,7 +196,7 @@ def cmd_acd_build(args) -> int:
         max_hull=max_hull,
     )
     Emitter(args.format).emit(report.to_dict())
-    return 0
+    return 0 if report.routes_agree else 1
 
 
 def cmd_acd_search(args) -> int:
@@ -222,9 +217,7 @@ def cmd_acd_search(args) -> int:
     record = report.to_dict()
     record["strategy"] = args.strategy
     Emitter(args.format).emit(record)
-    ok = record["acd_by_matrix"] and record["mds_by_criterion"]
-    if record["acd_by_oracle"] is not None:
-        ok = ok and record["acd_by_oracle"]
+    ok = report.acd_by_matrix and report.mds_by_criterion and report.routes_agree
     return 0 if ok else 1
 
 
@@ -255,11 +248,8 @@ def cmd_acd_sweep(args) -> int:
         params = acd.AcdParams(tower, k, lam, gamma, tower.skew_unit())
         report = acd.build_report(params, max_hull=max_hull)
         hull = report.hull_dim
-        agree = report.acd_by_matrix == (hull == 0)
-        if report.acd_by_structured is not None:
-            agree = agree and report.acd_by_structured == report.acd_by_matrix
-        if not agree:
-            disagreements += 1
+        agree = report.routes_agree
+        disagreements += not agree
         emitter.emit(
             {
                 "schema": 1,

@@ -45,20 +45,12 @@ class BadParamsError(SumRankError):
     """Code parameters violate their admissibility constraints."""
 
 
-class LengthMismatchError(SumRankError):
-    """Vectors or messages of incompatible lengths."""
-
-
 class TooLargeError(SumRankError):
     """Exhaustive enumeration would exceed the configured guard."""
 
 
 class SingularMError(SumRankError):
     """Hankel block M is singular; the structured criterion is undefined."""
-
-
-class BadRootsError(SumRankError):
-    """Prescribed root set is not an admissible subset of the evaluation set."""
 
 
 class SearchFailedError(SumRankError):

@@ -893,16 +893,5 @@ class FieldTower:
             "generator_of_units": list(self.generator_of_units.coords),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FieldTower":
-        return cls(
-            d["p"],
-            d["m"],
-            d["r"],
-            base_modulus=d.get("base_modulus"),
-            top_modulus=d.get("top_modulus"),
-            generator_of_units=d.get("generator_of_units"),
-        )
-
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, r={self.r})"

@@ -185,12 +185,6 @@ class ThetaPoly:
         self.tower = tower
         self.coeffs = tuple(tower.top(c) for c in coeffs)
 
-    @classmethod
-    def identity(cls, tower: FieldTower) -> "ThetaPoly":
-        return cls(
-            tower, [tower.top_one()] + [tower.top_zero()] * (tower.r - 1)
-        )
-
     def __bool__(self):
         return any(self.coeffs)
 
@@ -274,9 +268,6 @@ class QuotientCtx:
     @classmethod
     def build(cls, tower: FieldTower, ell: int) -> "QuotientCtx":
         lambdas = tower.subgroup_lambda(ell)
-        if ell % tower.p == 0:
-            # unreachable when ell | q-1; kept as an explicit guard
-            raise BadParamsError("subgroup order must be invertible mod p")
         alphas = tuple(tower.norm_preimage(lam) for lam in lambdas)
         return cls(tower, lambdas, alphas, build_h_lambda(tower, lambdas))
 

@@ -129,36 +129,38 @@ class GramReport:
     lcd_by_oracle: bool | None = None
     hull_dim: int | None = None
 
-    def to_dict(self, params: TlrsParams | None = None) -> dict:
-        out = {"schema": 1, "kind": "tlrs"}
-        if params is not None:
-            ctx = params.ctx
-            out.update(
-                {
-                    "field": ctx.tower.to_dict(),
-                    "ell": ctx.ell,
-                    "lambda": [str(x) for x in ctx.lambdas],
-                    "k": params.k,
-                    "h": params.h,
-                    "eta": str(params.eta),
-                    "code_dim": params.k * ctx.tower.r,
-                    "ambient_dim": ctx.ambient_dim,
-                }
-            )
-        out.update(
-            {
-                "gram": self.gram.to_lists(),
-                "det": str(self.det_value),
-                "alpha": str(self.alpha_value),
-                "m_block": self.m_block.to_lists(),
-                "b_block": self.b_block.to_lists(),
-                "lcd_by_criterion": self.lcd_by_criterion,
-                "lcd_by_oracle": self.lcd_by_oracle,
-                "hull_dim": self.hull_dim,
-            }
+    @property
+    def routes_agree(self) -> bool:
+        """The criterion says what det G != 0 says, and so does the hull
+        oracle when it ran."""
+        return self.lcd_by_criterion == bool(self.det_value) and (
+            self.lcd_by_oracle in (None, self.lcd_by_criterion)
         )
-        if params is not None and self.hull_dim is not None:
-            out["dual_dim"] = params.ctx.ambient_dim - params.k * params.ctx.tower.r
+
+    def to_dict(self, params: TlrsParams) -> dict:
+        ctx = params.ctx
+        out = {
+            "schema": 1,
+            "kind": "tlrs",
+            "field": ctx.tower.to_dict(),
+            "ell": ctx.ell,
+            "lambda": [str(x) for x in ctx.lambdas],
+            "k": params.k,
+            "h": params.h,
+            "eta": str(params.eta),
+            "code_dim": params.k * ctx.tower.r,
+            "ambient_dim": ctx.ambient_dim,
+            "gram": self.gram.to_lists(),
+            "det": str(self.det_value),
+            "alpha": str(self.alpha_value),
+            "m_block": self.m_block.to_lists(),
+            "b_block": self.b_block.to_lists(),
+            "lcd_by_criterion": self.lcd_by_criterion,
+            "lcd_by_oracle": self.lcd_by_oracle,
+            "hull_dim": self.hull_dim,
+        }
+        if self.hull_dim is not None:
+            out["dual_dim"] = ctx.ambient_dim - params.k * ctx.tower.r
         return out
 
 

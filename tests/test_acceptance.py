@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import paper_reference
 import skew_reference
 from sumrank import acd, linalg, tlrs
 from sumrank.errors import SearchFailedError, SingularMError
@@ -152,7 +153,7 @@ def test_c05_trace_table_verification(f25s, f169s):
                     gamma = tower.top(c) * alpha  # Tr(gamma) = 0
                     params = acd.AcdParams.make(tower, k, lam, gamma)
                     assert not tower.trace(gamma)
-                    exp_gg, exp_t = acd.closed_form_tables(params)
+                    exp_gg, exp_t = paper_reference.closed_form_tables(params)
                     assert acd.gg_dagger(params) == exp_gg
                     assert acd.t_matrix(params) == exp_t
                     entries += (2 * k) ** 2 * 2
@@ -274,7 +275,7 @@ def test_c09_schur_identity(f25s, f169s):
             k = rng.randint(1, min(4, ell - 1))
             params = acd.AcdParams.make(tower, k, rng.sample(units, ell))
             try:
-                assert acd.delta_identity_check(params)
+                assert paper_reference.delta_identity_check(params)
             except SingularMError:
                 continue
             checked += 1

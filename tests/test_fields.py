@@ -516,7 +516,7 @@ def test_text_roundtrip(f25):
 
 def test_tower_descriptor_roundtrip(f25, f81):
     for tower in (f25, f81):
-        clone = FieldTower.from_dict(tower.to_dict())
+        clone = FieldTower(**tower.to_dict())
         assert clone.to_dict() == tower.to_dict()
 
 

@@ -1,6 +1,8 @@
 """The package surface: lazily resolved exports and the immutable records."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +21,8 @@ def test_every_export_is_the_submodules_own_object():
         "GramReport", "TlrsCode", "TlrsParams", "build_code", "gram", "hull_oracle",
         "lcd_criterion", "min_sum_rank_distance",
         "AcdParams", "AcdReport", "acd_check", "acd_oracle", "code_basis",
-        "delta_identity_check", "encode", "lambda_search", "mds_criterion",
-        "min_distance_oracle", "power_sums", "root_product_check", "t_matrix",
-        "trace_hermitian",
+        "lambda_search", "mds_criterion", "min_distance_oracle", "power_sums",
+        "t_matrix",
     }
     listed = dir(sumrank)
     for name, module in sumrank._EXPORTS.items():
@@ -29,6 +30,28 @@ def test_every_export_is_the_submodules_own_object():
             importlib.import_module(f"sumrank.{module}"), name
         ), name
         assert name in listed, name
+
+
+def _names_read(path):
+    """Every name the module at path loads, and every attribute it looks up."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_export_is_read_outside_the_tests():
+    """An export that no module of the package, demo or benchmark reads,
+    apart from its own definition, serves only the tests and belongs with
+    them."""
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for top in ("src", "demos", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            if "tests" not in path.relative_to(root).parts:
+                read.update(_names_read(path))
+    assert [name for name in sumrank.__all__ if name not in read] == []
 
 
 def test_star_import_and_unknown_names():

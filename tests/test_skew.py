@@ -221,7 +221,7 @@ def test_eval_map_zero_and_one(f25, ctx25):
     zeros = ctx25.eval_map(SkewPoly.zero(f25))
     assert all(not t for t in zeros)
     ones = ctx25.eval_map(SkewPoly.one(f25))
-    assert all(t == ThetaPoly.identity(f25) for t in ones)
+    assert all(t == ThetaPoly(f25, [f25.top_one(), f25.top_zero()]) for t in ones)
 
 
 def test_eval_map_kills_modulus_multiples(f25, ctx25):
@@ -296,7 +296,7 @@ def _weight(ctx, f):
 
 
 def test_theta_rank_golden(f25):
-    assert _rank(ThetaPoly.identity(f25)) == 2
+    assert _rank(ThetaPoly(f25, [f25.top_one(), f25.top_zero()])) == 2
     # theta - 1 kills exactly F_q
     tm1 = ThetaPoly(f25, [f25.top(4), f25.top_one()])
     assert _rank(tm1) == 1
