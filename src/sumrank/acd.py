@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from . import linalg
+from . import _routes, linalg
 from ._record import record
 from .errors import (
     BadParamsError,
@@ -189,19 +189,9 @@ def _basis_labels(k: int):
 def code_basis(params: AcdParams):
     """The ordered F_q-basis {1; X^i; alpha X^i; gamma X^k} of the twisted
     polynomial space, each entry as a coefficient tuple over F_{q^2}."""
-    tower = params.tower
-    one, zero = tower.top_one(), tower.top_zero()
-    out = []
-    for kind, i in _basis_labels(params.k):
-        if kind == "one":
-            out.append((one,))
-        elif kind == "x":
-            out.append((zero,) * i + (one,))
-        elif kind == "ax":
-            out.append((zero,) * i + (params.skew_unit,))
-        else:
-            out.append((zero,) * params.k + (params.twist_scalar,))
-    return tuple(out)
+    one, zero = params.tower.top_one(), params.tower.top_zero()
+    lead = {"one": one, "x": one, "ax": params.skew_unit, "gx": params.twist_scalar}
+    return tuple((zero,) * i + (lead[kind],) for kind, i in _basis_labels(params.k))
 
 
 def _poly_eval(tower: FieldTower, coeffs, x: Elem) -> Elem:
@@ -298,14 +288,7 @@ def acd_check(params: AcdParams) -> AcdVerdicts:
         delta = delta_value(params)
     except SingularMError:
         return AcdVerdicts(matrix_ok, None, "singular_m", det_t, det_g0)
-    return AcdVerdicts(
-        matrix_ok,
-        bool(det_g0) and bool(delta),
-        None,
-        det_t,
-        det_g0,
-        delta,
-    )
+    return AcdVerdicts(matrix_ok, bool(det_g0) and bool(delta), None, det_t, det_g0, delta)
 
 
 def _alpha_decompose(params: AcdParams, c: Elem):
@@ -384,8 +367,14 @@ def min_distance_oracle(
         tower.p,
         lambda word: sum(1 for c in word if c),
         max_enumeration,
-        floor=max(1, params.ell - params.k),
+        floor=hamming_distance_floor(params),
     )
+
+
+def hamming_distance_floor(params: AcdParams) -> int:
+    """max(1, ell - k): a nonzero codeword evaluates a nonzero polynomial
+    of degree <= k, which has at most k roots, at ell distinct points."""
+    return max(1, params.ell - params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +442,7 @@ def lambda_search(
         params = AcdParams.make(tower, k, lambda_set)
         verdicts = params._verdicts
         certifiable = verdicts.matrix_ok and verdicts.structured_ok in (True, None)
-        if certifiable and params._mds:
-            return params
-        return None
+        return params if certifiable and params._mds else None
 
     if strategy in ("auto", "geometric"):
         for g in tower.mid_units():
@@ -494,9 +481,31 @@ def lambda_search(
 # ---------------------------------------------------------------------------
 
 
+# The route table (read by ``_routes.routes_agree``): per property of a
+# report, the relation its routes must satisfy and the report attribute
+# each route fills.  Hull dimension and distance have one route each; the
+# MDS criterion is sufficient, not necessary, so it implies the walk.
+ROUTES = {
+    "complementary duality": ("equal", {
+        "block verdict det G0 != 0, Delta != 0": "acd_by_structured",
+        "det T != 0": "acd_by_matrix",
+        "hull oracle": "acd_by_oracle",
+    }),
+    "hull dimension": ("equal", {"hull oracle": "hull_dim"}),
+    "minimum distance": ("bounded", {"walk": "min_distance"}),
+    "MDS": ("implies", {"criterion N(gamma) a nonsquare": "mds_by_criterion",
+                        "walk": "mds_by_oracle"}),
+}
+
+# the scalars of a report's record that a sweep row repeats, after its index
+_SWEEP_KEYS = ("q", "k", "ell", "lambda", "gamma", "det_t", "acd_by_matrix",
+               "acd_by_structured", "structured_reason", "hull_dim", "acd_by_oracle")
+
+
 @record
 class AcdReport:
-    """Everything a certification run produces for one parameter set."""
+    """Everything a certification run produces for one parameter set: the
+    answer of each route of ``ROUTES``, None for a route that did not run."""
 
     params: AcdParams
     generator: Mat
@@ -516,10 +525,20 @@ class AcdReport:
     min_distance: int | None = None
 
     @property
+    def distance_floor(self) -> int:
+        return hamming_distance_floor(self.params)
+
+    @property
+    def singleton_bound(self) -> int:
+        return self.params.ell - self.params.k + 1
+
+    @property
+    def mds_by_oracle(self) -> bool | None:
+        return None if self.min_distance is None else self.min_distance == self.singleton_bound
+
+    @property
     def routes_agree(self) -> bool:
-        """The block verdict says what det T != 0 says when it is defined,
-        and so does the hull oracle when it ran."""
-        return {self.acd_by_structured, self.acd_by_oracle} <= {None, self.acd_by_matrix}
+        return _routes.routes_agree(self, ROUTES)
 
     def to_dict(self) -> dict:
         p = self.params
@@ -547,8 +566,15 @@ class AcdReport:
             "hull_dim": self.hull_dim,
             "mds_by_criterion": self.mds_by_criterion,
             "min_distance": self.min_distance,
-            "singleton_bound": p.ell - p.k + 1,
+            "singleton_bound": self.singleton_bound,
         }
+
+    def sweep_row(self, index: int) -> dict:
+        """The flat record of a sweep: its index, ``to_dict``'s scalars and
+        whether the routes agree."""
+        record = self.to_dict()
+        return {"schema": 1, "kind": "acd-sweep-row", "index": index,
+                **{key: record[key] for key in _SWEEP_KEYS}, "agree": self.routes_agree}
 
 
 def build_report(
@@ -557,16 +583,23 @@ def build_report(
     with_distance: bool = False,
     max_enumeration: int = DEFAULT_MAX_ENUMERATION,
     max_hull: int = DEFAULT_MAX_HULL,
+    skip_distance_past_guard: bool = False,
 ) -> AcdReport:
+    """The report of one parameter set: the hull oracle with
+    ``with_oracle``, and the distance walk with ``with_distance``.  A walk
+    that ``max_enumeration`` refuses raises ``TooLargeError``, or leaves
+    ``min_distance`` None with ``skip_distance_past_guard``."""
     tower = params.tower
     verdicts = params._verdicts
     ps = params._power_sums
     hull = acd_oracle(params, max_hull=max_hull) if with_oracle else None
-    dist = (
-        min_distance_oracle(params, max_enumeration=max_enumeration)
-        if with_distance
-        else None
-    )
+    dist = None
+    if with_distance:
+        try:
+            dist = min_distance_oracle(params, max_enumeration=max_enumeration)
+        except TooLargeError:
+            if not skip_distance_past_guard:
+                raise
     return AcdReport(
         params=params,
         generator=params._generator,

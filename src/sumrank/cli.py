@@ -109,44 +109,29 @@ def _tower(args, r=None) -> FieldTower:
     return FieldTower(args.p, args.m, r if r is not None else args.r)
 
 
+def _acd_guards(args) -> dict:
+    """The enumeration and hull guards of an acd build or search, as
+    keywords of ``acd.build_report``."""
+    from . import acd
+
+    return {
+        "max_enumeration": _guard(args, "max_enum", ENV_MAX_ENUM, acd.DEFAULT_MAX_ENUMERATION),
+        "max_hull": _guard(args, "max_hull", ENV_MAX_HULL, acd.DEFAULT_MAX_HULL),
+    }
+
+
 def cmd_tlrs_build(args) -> int:
     from . import tlrs
     from .skew import QuotientCtx
 
     max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, tlrs.DEFAULT_MAX_ENUMERATION)
     tower = _tower(args)
-    ctx = QuotientCtx.build(tower, args.ell)
-    params = tlrs.TlrsParams(ctx, args.k, args.h, tower.parse_top(args.eta))
-    code = tlrs.build_code(params)
-    report = tlrs.gram(code, with_oracle=not args.no_oracle)
-    record = report.to_dict(params)
-    if args.with_distance:
-        record["min_sum_rank_distance"] = tlrs.min_sum_rank_distance(
-            code, max_enumeration=max_enum
-        )
-        record["sum_rank_singleton_bound"] = tlrs.sum_rank_singleton_bound(params)
-    Emitter(args.format).emit(record)
+    params = tlrs.TlrsParams(QuotientCtx.build(tower, args.ell), args.k, args.h,
+                             tower.parse_top(args.eta))
+    report = tlrs.gram(tlrs.build_code(params), with_oracle=not args.no_oracle,
+                       with_distance=args.with_distance, max_enumeration=max_enum)
+    Emitter(args.format).emit(report.to_dict())
     return 0 if report.routes_agree else 1
-
-
-def _tlrs_flat_record(params, report) -> dict:
-    tower = params.ctx.tower
-    return {
-        "schema": 1,
-        "kind": "tlrs-sweep-row",
-        "p": tower.p,
-        "m": tower.m,
-        "r": tower.r,
-        "ell": params.ctx.ell,
-        "k": params.k,
-        "h": params.h,
-        "eta": str(params.eta),
-        "det": str(report.det_value),
-        "alpha": str(report.alpha_value),
-        "lcd_by_criterion": report.lcd_by_criterion,
-        "lcd_by_oracle": report.lcd_by_oracle,
-        "hull_dim": report.hull_dim,
-    }
 
 
 def cmd_tlrs_sweep(args) -> int:
@@ -155,9 +140,7 @@ def cmd_tlrs_sweep(args) -> int:
 
     tower = _tower(args)
     ctx = QuotientCtx.build(tower, args.ell)
-    k_values = (
-        range(1, ctx.modulus_degree) if args.k is None else [args.k]
-    )
+    k_values = range(1, ctx.modulus_degree) if args.k is None else [args.k]
     h_values = range(tower.r) if args.h is None else [args.h]
     planned = len(k_values) * len(h_values) * (tower.q ** tower.r - 1)
     if planned > MAX_SWEEP_REPORTS:
@@ -170,11 +153,9 @@ def cmd_tlrs_sweep(args) -> int:
     for k in k_values:
         for h in h_values:
             for eta in tower.top_units():
-                params = tlrs.TlrsParams(ctx, k, h, eta)
-                report = tlrs.gram(
-                    tlrs.build_code(params), with_oracle=not args.no_oracle
-                )
-                emitter.emit(_tlrs_flat_record(params, report))
+                code = tlrs.build_code(tlrs.TlrsParams(ctx, k, h, eta))
+                report = tlrs.gram(code, with_oracle=not args.no_oracle)
+                emitter.emit(report.sweep_row())
                 mismatches += not report.routes_agree
     return 1 if mismatches else 0
 
@@ -186,37 +167,20 @@ def cmd_acd_build(args) -> int:
     lam = [tower.parse_mid(tok) for tok in split_items(args.lam)]
     gamma = tower.parse_top(args.gamma) if args.gamma else None
     params = acd.AcdParams.make(tower, args.k, lam, gamma)
-    max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, acd.DEFAULT_MAX_ENUMERATION)
-    max_hull = _guard(args, "max_hull", ENV_MAX_HULL, acd.DEFAULT_MAX_HULL)
-    report = acd.build_report(
-        params,
-        with_oracle=not args.no_oracle,
-        with_distance=args.with_distance,
-        max_enumeration=max_enum,
-        max_hull=max_hull,
-    )
+    report = acd.build_report(params, with_oracle=not args.no_oracle,
+                              with_distance=args.with_distance, **_acd_guards(args))
     Emitter(args.format).emit(report.to_dict())
     return 0 if report.routes_agree else 1
 
 
 def cmd_acd_search(args) -> int:
     from . import acd
-    from ._record import replace
 
-    max_enum = _guard(args, "max_enum", ENV_MAX_ENUM, acd.DEFAULT_MAX_ENUMERATION)
-    max_hull = _guard(args, "max_hull", ENV_MAX_HULL, acd.DEFAULT_MAX_HULL)
-    tower = _tower(args, r=2)
-    params = acd.lambda_search(tower, args.k, args.ell, strategy=args.strategy)
-    report = acd.build_report(params, with_oracle=True, max_hull=max_hull)
-    if args.with_distance:
-        try:
-            dist = acd.min_distance_oracle(params, max_enumeration=max_enum)
-        except TooLargeError:
-            dist = None
-        report = replace(report, min_distance=dist)
-    record = report.to_dict()
-    record["strategy"] = args.strategy
-    Emitter(args.format).emit(record)
+    guards = _acd_guards(args)
+    params = acd.lambda_search(_tower(args, r=2), args.k, args.ell, strategy=args.strategy)
+    report = acd.build_report(params, with_distance=args.with_distance,
+                              skip_distance_past_guard=True, **guards)
+    Emitter(args.format).emit({**report.to_dict(), "strategy": args.strategy})
     ok = report.acd_by_matrix and report.mds_by_criterion and report.routes_agree
     return 0 if ok else 1
 
@@ -247,28 +211,8 @@ def cmd_acd_sweep(args) -> int:
         gamma = tops[rng.randrange(len(tops))]
         params = acd.AcdParams(tower, k, lam, gamma, tower.skew_unit())
         report = acd.build_report(params, max_hull=max_hull)
-        hull = report.hull_dim
-        agree = report.routes_agree
-        disagreements += not agree
-        emitter.emit(
-            {
-                "schema": 1,
-                "kind": "acd-sweep-row",
-                "index": i,
-                "q": tower.q,
-                "k": k,
-                "ell": ell,
-                "lambda": [str(x) for x in lam],
-                "gamma": str(gamma),
-                "det_t": str(report.det_t),
-                "acd_by_matrix": report.acd_by_matrix,
-                "acd_by_structured": report.acd_by_structured,
-                "structured_reason": report.structured_reason,
-                "hull_dim": hull,
-                "acd_by_oracle": hull == 0,
-                "agree": agree,
-            }
-        )
+        emitter.emit(report.sweep_row(i))
+        disagreements += not report.routes_agree
     return 1 if disagreements else 0
 
 
@@ -276,77 +220,40 @@ def cmd_verify_examples(args) -> int:
     from . import acd, tlrs
     from .skew import QuotientCtx
 
-    checks = []
-
     tower = FieldTower(5, 1, 2)
     ctx = QuotientCtx.build(tower, 2)
-    eta = tower.parse_top("2+1u")
-    eta_sq = eta * eta
-    checks.append(("eta^2 = 1+4u", str(eta_sq) == "1+4u"))
-    checks.append(("1+eta^2 = 2+4u", str(tower.top_one() + eta_sq) == "2+4u"))
-
-    params = tlrs.TlrsParams(ctx, 1, 0, eta)
-    report = tlrs.gram(tlrs.build_code(params), with_oracle=True)
-    checks.append(
-        ("gram = [[4,1],[1,3]]", report.gram.to_lists() == [["4", "1"], ["1", "3"]])
+    eta_sq = tower.parse_top("2+1u") ** 2
+    lcd, self_orth = (
+        tlrs.gram(tlrs.build_code(tlrs.TlrsParams(ctx, 1, 0, tower.parse_top(eta))),
+                  with_oracle=True)
+        for eta in ("2+1u", "2+0u")
     )
-    checks.append(("det gram = 1", str(report.det_value) == "1"))
-    checks.append(
-        (
-            "complementary-dual by criterion, gram and hull",
-            report.lcd_by_criterion
-            and bool(report.det_value)
-            and report.hull_dim == 0,
-        )
+    good, bad, wide = (
+        acd.build_report(acd.AcdParams.make(tower, 1, lam, tower.parse_top("0+1u")),
+                         with_distance=True)
+        for lam in ([2, 3], [1, 2], [1, 2, 3])
     )
-
-    params2 = tlrs.TlrsParams(ctx, 1, 0, tower.parse_top("2+0u"))
-    report2 = tlrs.gram(tlrs.build_code(params2), with_oracle=True)
-    checks.append(("eta=2 gram is zero", report2.gram.is_zero()))
-    checks.append(("eta=2 self-orthogonal hull dim 2", report2.hull_dim == 2))
-
-    gamma = tower.parse_top("0+1u")
-    good = acd.AcdParams.make(tower, 1, [2, 3], gamma)
-    t_good = acd.t_matrix(good)
-    checks.append(
-        ("additive T = diag(4,3)", t_good.to_lists() == [["4", "0"], ["0", "3"]])
-    )
-    v_good = acd.acd_check(good)
-    checks.append(
-        (
-            "additive {2,3} certified by matrix, blocks and oracle",
-            v_good.matrix_ok
-            and v_good.structured_ok
-            and acd.acd_oracle(good) == 0,
-        )
-    )
-    checks.append(
-        ("additive {2,3} distance 2", acd.min_distance_oracle(good) == 2)
-    )
-
-    bad = acd.AcdParams.make(tower, 1, [1, 2], gamma)
-    v_bad = acd.acd_check(bad)
-    checks.append(
-        (
-            "additive {1,2} singular and hull positive",
-            not v_bad.matrix_ok and acd.acd_oracle(bad) >= 1,
-        )
-    )
-
-    wide = acd.AcdParams.make(tower, 1, [1, 2, 3], gamma)
-    checks.append(
-        (
-            "additive length-3 code is distance-optimal (d = 3)",
-            acd.mds_criterion(wide) and acd.min_distance_oracle(wide) == 3,
-        )
-    )
-
+    checks = [
+        ("eta^2 = 1+4u", str(eta_sq) == "1+4u"),
+        ("1+eta^2 = 2+4u", str(tower.top_one() + eta_sq) == "2+4u"),
+        ("gram = [[4,1],[1,3]]", lcd.gram.to_lists() == [["4", "1"], ["1", "3"]]),
+        ("det gram = 1", str(lcd.det_value) == "1"),
+        ("complementary-dual by criterion, gram and hull",
+         lcd.lcd_by_criterion and lcd.routes_agree),
+        ("eta=2 gram is zero", self_orth.gram.is_zero()),
+        ("eta=2 self-orthogonal hull dim 2", self_orth.hull_dim == 2),
+        ("additive T = diag(4,3)", good.t_mat.to_lists() == [["4", "0"], ["0", "3"]]),
+        ("additive {2,3} certified by matrix, blocks and oracle",
+         good.acd_by_structured and good.routes_agree),
+        ("additive {2,3} distance 2", good.min_distance == 2),
+        ("additive {1,2} singular and hull positive", not bad.acd_by_matrix and bad.hull_dim >= 1),
+        ("additive length-3 code is distance-optimal (d = 3)",
+         wide.mds_by_criterion and wide.min_distance == 3),
+    ]
     failures = 0
     for name, ok in checks:
-        line = f"{'ok' if ok else 'MISMATCH'} - {name}"
-        print(line)
-        if not ok:
-            failures += 1
+        print(f"{'ok' if ok else 'MISMATCH'} - {name}")
+        failures += not ok
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return 1 if failures else 0
 

@@ -83,6 +83,26 @@ def _power(ops, a, e):
     return acc
 
 
+def _sqrt(ops, a, q: int, z):
+    """A square root of a in F_q, q odd, by Tonelli-Shanks, or None when a
+    is not a square; z is any nonsquare."""
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    root, b, c = _power(ops, a, (t + 1) // 2), _power(ops, a, t), _power(ops, z, t)
+    while b != ops.one:  # root^2 = a * b, and b has order 2^i for some i < s
+        i, b2 = 0, b
+        while b2 != ops.one:
+            b2, i = ops.mul(b2, b2), i + 1
+            if i == s:
+                return None
+        for _ in range(s - i - 1):
+            c = ops.mul(c, c)
+        root, c = ops.mul(root, c), ops.mul(c, c)
+        b, s = ops.mul(b, c), i
+    return root
+
+
 def _poly_trim(ops, f):
     d = len(f)
     while d > 0 and f[d - 1] == ops.zero:
@@ -737,12 +757,31 @@ class FieldTower:
 
     def norm_preimage(self, lam: Elem) -> Elem:
         """Any alpha in L with N(alpha) = lam; the norm is onto F_q*, and the
-        candidate with the lexicographically least encoding is returned."""
+        candidate with the lexicographically least encoding is returned.
+
+        For r = 2 and odd q, N(x0 + x1 u) = x0^2 - b x0 x1 + c x1^2 for the
+        top modulus u^2 + b u + c, so for each x0 in canonical order the
+        least x1, if any, is the lesser root (b x0 +- s) / 2c with
+        s^2 = b^2 x0^2 - 4c (x0^2 - lam).  Other towers scan L."""
         lam = self.as_mid(lam) if lam.level == TOP else lam
         if lam.level != MID:
             raise LevelMismatchError("norm_preimage expects an F_q element")
         if not lam:
             raise ZeroInputError("norm preimages are defined for nonzero targets")
+        if self.r == 2 and self.p > 2:
+            ops = self._mid_ops
+            mul, add, sub, zero = ops.mul, ops.add, ops.sub, ops.zero
+            c, b = self.top_modulus[:2]
+            two_c = add(c, c)
+            half_c, four_c = ops.inv(two_c), add(two_c, two_c)
+            z = next(x.coords for x in self.mid_units() if not self.is_square(x))
+            for x0 in (x.coords for x in self.mid_elements()):
+                bx0 = mul(b, x0)
+                disc = sub(mul(bx0, bx0), mul(four_c, sub(mul(x0, x0), lam.coords)))
+                s = zero if disc == zero else _sqrt(ops, disc, self.q, z)
+                if s is not None:
+                    x1 = min(mul(add(bx0, s), half_c), mul(sub(bx0, s), half_c))
+                    return Elem(self, TOP, (x0, x1))
         for cand in self.top_units():
             if self.norm(cand) == lam:
                 return cand

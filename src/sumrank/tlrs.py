@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from . import linalg
+from . import _routes, linalg
 from ._record import record
 from .errors import BadParamsError
 from .fields import MID, TOP, Elem, FieldTower
@@ -116,10 +116,30 @@ def _pairing(tower: FieldTower, f: SkewPoly, g: SkewPoly) -> tuple:
     return tower._trace(reduce(ops.add, products, ops.zero))
 
 
+# The route table (read by ``_routes.routes_agree``): per property of a
+# report, the relation its routes must satisfy and the report attribute
+# each route fills.  Hull dimension and distance have one route each.
+ROUTES = {
+    "complementary duality": ("equal", {
+        "closed form 1 + eta^2 != 0": "lcd_by_criterion",
+        "det G != 0": "lcd_by_det",
+        "hull oracle": "lcd_by_oracle",
+    }),
+    "hull dimension": ("equal", {"hull oracle": "hull_dim"}),
+    "minimum distance": ("bounded", {"walk": "min_sum_rank_distance"}),
+}
+
+# the scalars of a report's record that a sweep row repeats, after p, m, r
+_SWEEP_KEYS = ("ell", "k", "h", "eta", "det", "alpha", "lcd_by_criterion", "lcd_by_oracle",
+               "hull_dim")
+
+
 @record
 class GramReport:
-    """Gram matrix of the code basis plus both certification verdicts."""
+    """Gram matrix of the code basis plus the answer of each route of
+    ``ROUTES``, None for a route that did not run."""
 
+    params: TlrsParams
     gram: Mat
     det_value: Elem
     m_block: Mat
@@ -128,16 +148,26 @@ class GramReport:
     lcd_by_criterion: bool
     lcd_by_oracle: bool | None = None
     hull_dim: int | None = None
+    min_sum_rank_distance: int | None = None
+
+    @property
+    def lcd_by_det(self) -> bool:
+        return bool(self.det_value)
+
+    @property
+    def distance_floor(self) -> int:
+        return sum_rank_distance_floor(self.params)
+
+    @property
+    def singleton_bound(self) -> int:
+        return sum_rank_singleton_bound(self.params)
 
     @property
     def routes_agree(self) -> bool:
-        """The criterion says what det G != 0 says, and so does the hull
-        oracle when it ran."""
-        return self.lcd_by_criterion == bool(self.det_value) and (
-            self.lcd_by_oracle in (None, self.lcd_by_criterion)
-        )
+        return _routes.routes_agree(self, ROUTES)
 
-    def to_dict(self, params: TlrsParams) -> dict:
+    def to_dict(self) -> dict:
+        params = self.params
         ctx = params.ctx
         out = {
             "schema": 1,
@@ -161,7 +191,18 @@ class GramReport:
         }
         if self.hull_dim is not None:
             out["dual_dim"] = ctx.ambient_dim - params.k * ctx.tower.r
+        if self.min_sum_rank_distance is not None:
+            out["min_sum_rank_distance"] = self.min_sum_rank_distance
+            out["sum_rank_singleton_bound"] = self.singleton_bound
         return out
+
+    def sweep_row(self) -> dict:
+        """The flat record of a sweep: ``to_dict``'s field as p, m and r,
+        then its scalars."""
+        record = self.to_dict()
+        return {"schema": 1, "kind": "tlrs-sweep-row",
+                **{key: record["field"][key] for key in ("p", "m", "r")},
+                **{key: record[key] for key in _SWEEP_KEYS}}
 
 
 def gram_blocks(code: TlrsCode):
@@ -180,12 +221,19 @@ def gram_blocks(code: TlrsCode):
     return m_block, b_block, Elem(tower, TOP, alpha)
 
 
-def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
+def gram(
+    code: TlrsCode,
+    with_oracle: bool = False,
+    with_distance: bool = False,
+    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
+) -> GramReport:
     """Entrywise Gram matrix of the basis, plus the closed-form blocks.
 
     The matrix entries come from pairwise form evaluations; the blocks are
     computed separately, so tests can cross-check the two routes.  With
-    ``with_oracle`` the brute-force hull dimension is filled in as well.
+    ``with_oracle`` the brute-force hull dimension is filled in as well,
+    and with ``with_distance`` the sum-rank distance, walked under the
+    guard ``max_enumeration``.
     """
     params = code.params
     tower = params.ctx.tower
@@ -201,6 +249,7 @@ def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
     m_block, b_block, alpha = gram_blocks(code)
     hull = hull_oracle(code) if with_oracle else None
     return GramReport(
+        params=params,
         gram=gram_mat,
         det_value=linalg.det(gram_mat),
         m_block=m_block,
@@ -209,6 +258,9 @@ def gram(code: TlrsCode, with_oracle: bool = False) -> GramReport:
         lcd_by_criterion=lcd_criterion(params),
         lcd_by_oracle=None if hull is None else hull == 0,
         hull_dim=hull,
+        min_sum_rank_distance=(
+            min_sum_rank_distance(code, max_enumeration) if with_distance else None
+        ),
     )
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,61 @@ def test_acd_sweep_agrees(capsys):
     assert run_cli(capsys, ["acd-sweep", "--p", "5", "--count", "0"]) == (0, "")
 
 
+def _json_rows(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    return code, [json.loads(line) for line in out.splitlines()]
+
+
+def test_tlrs_sweep_rows_are_the_build_records(capsys):
+    """Each tlrs-sweep row repeats, key for key but its kind, the record
+    tlrs-build prints for its (k, h, eta), with p, m and r read under
+    "field"."""
+    code, rows = _json_rows(capsys, ["tlrs-sweep", "--p", "5", "--ell", "2", "--format", "json"])
+    assert code == 0 and len(rows) == 3 * 2 * 24
+    for row in rows:
+        code, [record] = _json_rows(capsys, [
+            "tlrs-build", "--p", "5", "--ell", "2", "--k", str(row["k"]), "--h", str(row["h"]),
+            "--eta", row["eta"], "--format", "json"])
+        assert code == 0
+        record.update(record.pop("field"))
+        del row["kind"]
+        assert row == {key: record[key] for key in row}
+
+
+@pytest.mark.parametrize("turned", [False, True])
+def test_acd_sweep_rows_are_the_build_records(capsys, monkeypatch, turned):
+    """Each seeded acd-sweep row repeats, key for key but its kind and
+    index, the record acd-build prints for its drawn (k, lambda, gamma),
+    and agrees exactly when that build exits 0, also with the hull oracle
+    turned against the other routes."""
+    monkeypatch.delenv("SUMRANK_MAX_HULL", raising=False)
+    if turned:
+        from sumrank import acd
+
+        original = acd.acd_oracle
+        monkeypatch.setattr(acd, "acd_oracle", lambda *a, **kw: _hull_where_none(original(*a, **kw)))
+    code, rows = _json_rows(capsys, ["acd-sweep", "--p", "13", "--count", "20", "--seed", "7",
+                                     "--format", "json"])
+    assert code == int(turned) and len(rows) == 20
+    for row in rows:
+        code, [record] = _json_rows(capsys, [
+            "acd-build", "--p", "13", "--k", str(row["k"]), "--lambda", ",".join(row["lambda"]),
+            "--gamma", row["gamma"], "--format", "json"])
+        assert row.pop("agree") == (code == 0) == (not turned)
+        del row["kind"], row["index"]
+        assert row == {key: record[key] for key in row}
+
+
+def test_tlrs_build_over_a_large_prime(capsys):
+    """Over p = 1000003 the evaluation points' norm preimages come from
+    square roots in F_q, not from a scan of L."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["tlrs-build", "--p", "1000003", "--ell", "6", "--k", "1",
+                                 "--eta", "1+1u"])
+    assert code == 0 and out
+    assert time.perf_counter() - start < 10
+
+
 def _hull_where_none(hull):
     """A hull oracle's answer turned: a hull exactly where there is none."""
     return int(not hull)
@@ -149,6 +205,15 @@ def _hull_where_none(hull):
                  _hull_where_none, id="acd-search"),
     pytest.param(["acd-sweep", "--p", "5", "--count", "5", "--seed", "1"], "acd.acd_oracle",
                  _hull_where_none, id="acd-sweep"),
+    # the MDS criterion holds (gamma = alpha), so the walk must reach
+    # ell - k + 1; it is turned to ell - k, which the floor still admits
+    pytest.param(["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3", "--with-distance"],
+                 "acd.min_distance_oracle", lambda d: d - 1, id="acd-build-distance"),
+    pytest.param(["acd-search", "--p", "5", "--k", "1", "--ell", "3", "--with-distance"],
+                 "acd.min_distance_oracle", lambda d: d - 1, id="acd-search-distance"),
+    # d is the floor N - k or N - k + 1, so d - 2 lies below the floor
+    pytest.param(EXAMPLE_BUILD + ["--with-distance"], "tlrs.min_sum_rank_distance",
+                 lambda d: d - 2, id="tlrs-build-distance"),
 ])
 def test_routes_that_disagree_exit_1(capsys, monkeypatch, argv, planted, turn):
     """Each build, sweep and search exits 0, and exits 1 once the answer of

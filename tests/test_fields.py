@@ -391,6 +391,19 @@ def test_norm_preimage_roundtrip_exhaustive(f25, f169):
             assert tower.as_mid(alpha * tower.frobenius(alpha, 1)) == lam
 
 
+@pytest.mark.parametrize("args, top_modulus", [
+    ((5, 1, 2), None), ((13, 1, 2), None), ((17, 1, 2), None), ((3, 2, 2), None),
+    ((17, 1, 2), (3, 1, 1)),  # u^2 + u + 3: the norm form has a cross term
+])
+def test_quadratic_norm_preimage_is_the_scans_least(args, top_modulus):
+    """At r = 2 the preimage solved by square roots is the least element of
+    L, in canonical order, that the scan over L finds."""
+    tower = FieldTower(*args, top_modulus=top_modulus)
+    for lam in tower.mid_units():
+        least = next(c for c in tower.top_units() if tower.norm(c) == lam)
+        assert tower.norm_preimage(lam) == least, (args, lam)
+
+
 def test_norm_preimage_rejects_zero(f25):
     with pytest.raises(ZeroInputError):
         f25.norm_preimage(f25.mid_zero())

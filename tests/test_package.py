@@ -9,7 +9,9 @@ import pytest
 import sumrank
 from sumrank import acd, tlrs
 from sumrank._record import replace
+from sumrank._routes import RELATIONS
 from sumrank.errors import BadParamsError
+from sumrank.fields import FieldTower
 from sumrank.skew import QuotientCtx
 
 
@@ -129,3 +131,35 @@ def test_record_validation_runs_on_construction_and_replace(params25):
     with pytest.raises(BadParamsError, match="h = 2"):
         replace(params25, h=2)
 
+
+
+# the properties that one route alone certifies, for now: distance and the
+# hull dimension as a number, in both families
+ONE_ROUTE = {
+    ("tlrs", "hull dimension"), ("tlrs", "minimum distance"),
+    ("acd", "hull dimension"), ("acd", "minimum distance"),
+}
+
+
+def test_route_tables_name_what_the_reports_hold():
+    """Each family's route table gives every property a known relation and
+    at least two routes, but for the pinned one-route properties; each
+    route names an attribute its report fills once every route has run,
+    and on such reports the routes agree."""
+    tower = FieldTower(5, 1, 2)
+    params = tlrs.TlrsParams(QuotientCtx.build(tower, 2), 1, 0, tower.parse_top("2+1u"))
+    reports = {
+        "tlrs": tlrs.gram(tlrs.build_code(params), with_oracle=True, with_distance=True),
+        "acd": acd.build_report(acd.AcdParams.make(tower, 1, [2, 3]), with_distance=True),
+    }
+    one_route = set()
+    for family, module in (("tlrs", tlrs), ("acd", acd)):
+        report = reports[family]
+        for prop, (relation, routes) in module.ROUTES.items():
+            assert relation in RELATIONS, (family, prop)
+            if len(routes) < 2:
+                one_route.add((family, prop))
+            for route, attr in routes.items():
+                assert getattr(report, attr) is not None, (family, prop, route)
+        assert report.routes_agree, family
+    assert one_route == ONE_ROUTE

@@ -227,7 +227,7 @@ def test_gram_block_assembly_matches_entrywise(f25, f169):
 
 
 def test_gram_report_serializes(example_code):
-    record = tlrs.gram(example_code, with_oracle=True).to_dict(example_code.params)
+    record = tlrs.gram(example_code, with_oracle=True).to_dict()
     assert record["schema"] == 1
     assert record["gram"] == [["4", "1"], ["1", "3"]]
     assert record["dual_dim"] == 6
