@@ -63,11 +63,3 @@ def record(cls):
         setattr(cls, method.__name__, method)
     cls._fields = fields
     return cls
-
-
-def replace(obj, **changes):
-    """A copy of the record ``obj`` with the given fields changed; the
-    copy is validated like a new instance."""
-    values = {name: getattr(obj, name) for name in obj._fields}
-    values.update(changes)
-    return obj.__class__(**values)

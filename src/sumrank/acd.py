@@ -497,10 +497,6 @@ ROUTES = {
                         "walk": "mds_by_oracle"}),
 }
 
-# the scalars of a report's record that a sweep row repeats, after its index
-_SWEEP_KEYS = ("q", "k", "ell", "lambda", "gamma", "det_t", "acd_by_matrix",
-               "acd_by_structured", "structured_reason", "hull_dim", "acd_by_oracle")
-
 
 @record
 class AcdReport:
@@ -570,11 +566,15 @@ class AcdReport:
         }
 
     def sweep_row(self, index: int) -> dict:
-        """The flat record of a sweep: its index, ``to_dict``'s scalars and
-        whether the routes agree."""
-        record = self.to_dict()
-        return {"schema": 1, "kind": "acd-sweep-row", "index": index,
-                **{key: record[key] for key in _SWEEP_KEYS}, "agree": self.routes_agree}
+        """The flat record of a sweep: its index, the scalars of ``to_dict``
+        with the evaluation set, and whether the routes agree."""
+        p = self.params
+        return {"schema": 1, "kind": "acd-sweep-row", "index": index, "q": p.tower.q, "k": p.k,
+                "ell": p.ell, "lambda": [str(x) for x in p.lambda_set],
+                "gamma": str(p.twist_scalar), "det_t": str(self.det_t),
+                "acd_by_matrix": self.acd_by_matrix, "acd_by_structured": self.acd_by_structured,
+                "structured_reason": self.structured_reason, "hull_dim": self.hull_dim,
+                "acd_by_oracle": self.acd_by_oracle, "agree": self.routes_agree}
 
 
 def build_report(

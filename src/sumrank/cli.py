@@ -5,8 +5,8 @@ evaluation sets, and re-verify the bundled worked examples.  Reports are
 emitted as human text, JSON records (one object per line for sweeps), or
 CSV rows; identical arguments and seed produce byte-identical output.
 
-Exit codes: 0 success, 1 verification mismatch or failed search, 2
-invalid configuration, 3 enumeration guard exceeded.
+Exit codes: 0 success, 1 verification mismatch, failed search or a closed
+stdout (``| head``), 2 invalid configuration, 3 enumeration guard exceeded.
 """
 
 from __future__ import annotations
@@ -385,7 +385,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the exit-time flush writes what is left to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

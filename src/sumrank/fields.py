@@ -478,7 +478,8 @@ class FieldTower:
         # theta^h images of the power basis: _frob[h][t] = (u^t)^(q^h), as
         # coordinates (_frob[0] is the power basis itself); the coordinate
         # kernels of skew and tlrs read it too.  They sum over h to the
-        # trace row, _trace_row[t] = Tr(u^t) in F_q.
+        # trace row, _trace_row[t] = Tr(u^t) in F_q.  tlrs reads the trace
+        # form, _trace_form[e] = Tr(u^e) for e = 0 .. 3r - 3.
         u = self.top([0, 1] + [0] * (r - 2)) if r > 1 else self.top_one()
         self._frob: list[list[tuple]] = []
         for h in range(r):
@@ -489,6 +490,9 @@ class FieldTower:
                 acc = acc * w
             self._frob.append(row)
         self._trace_row = [reduce(self._mid_add, [i[0] for i in col]) for col in zip(*self._frob)]
+        powers = itertools.accumulate([u.coords] * (3 * r - 3), self._top_mul,
+                                      initial=self._top_ops.one)
+        self._trace_form = [self._trace(x) for x in powers]
 
         # Construction multiplies on the convolution; from here on, a level
         # small enough for tables counts its products (m = 1 keeps F_p's).

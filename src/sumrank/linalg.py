@@ -5,10 +5,11 @@ no magnitudes, so any nonzero pivot is as good as another and this choice
 keeps results deterministic).  Matrices are immutable; all functions are
 pure.  Empty matrices follow the conventions det([]) = 1 and rank([]) = 0
 so that degenerate block sizes fall out of the general formulas.  Entries
-are :class:`Elem`s, but every elimination except ``meet_dim``'s stacked
-rank, and the matrix sum and product, read their coordinates once and
-compute with the level's :meth:`FieldTower.coord_ops`, building elements
-only for returned values.
+are :class:`Elem`s, checked once, when a matrix is built, to live at its
+tower and level (a sum or product checks its other operand), so every
+elimination except ``meet_dim``'s stacked rank reads their coordinates
+directly and computes with :meth:`FieldTower.coord_ops`, building
+elements only for returned values.
 """
 
 from __future__ import annotations
@@ -39,26 +40,33 @@ class Mat:
         self.entries = tuple(tuple(row) for row in entries)
         if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
             raise ValueError("entry grid does not match declared shape")
+        if any(e.tower is not tower or e.level != level for row in self.entries for e in row):
+            raise LevelMismatchError(f"matrix entries must all live at {level!r} of one tower")
 
     @classmethod
     def from_rows(cls, rows, tower=None, level=None, cols=None) -> "Mat":
+        """The matrix of ``rows``, at the tower, level and width of their first entry."""
         rows = [list(r) for r in rows]
         if rows and rows[0]:
             probe, width = rows[0][0], len(rows[0])
-            if tower not in (None, probe.tower) or level not in (None, probe.level):
-                raise LevelMismatchError("rows do not live at the given tower and level")
             if cols not in (None, width):
                 raise ValueError(f"rows of width {width} given cols = {cols}")
-            tower, level, cols = probe.tower, probe.level, width
+            tower, level, cols = tower or probe.tower, level or probe.level, width
         if tower is None or level is None or cols is None:
             raise ValueError("empty matrix needs explicit tower/level/cols")
         return cls(tower, level, len(rows), cols, rows)
 
     @classmethod
     def _of_coords(cls, tower: FieldTower, level: str, cols: int, rows) -> "Mat":
-        """The matrix whose entries have the given coordinate rows."""
-        return cls(tower, level, len(rows), cols,
-                   [[Elem(tower, level, c) for c in row] for row in rows])
+        """The matrix whose entries have the given coordinate rows, unchecked."""
+        out = cls.__new__(cls)
+        out.tower, out.level, out.rows, out.cols = tower, level, len(rows), cols
+        out.entries = tuple([tuple([Elem(tower, level, c) for c in row]) for row in rows])
+        return out
+
+    def _peer(self, other: "Mat") -> None:
+        if other.tower is not self.tower or other.level != self.level:
+            raise LevelMismatchError(f"matrix operands must live at {self.level!r} of one tower")
 
     def __getitem__(self, ij) -> Elem:
         i, j = ij
@@ -67,17 +75,19 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} + {other.rows}x{other.cols}")
+        self._peer(other)
         add = self.tower.coord_ops(self.level).add
-        rows = [[add(x, y) for x, y in zip(a, b)]
-                for a, b in zip(_coords(self), _coords_of(other.entries, self.tower, self.level))]
+        rows = [[add(x.coords, y.coords) for x, y in zip(a, b)]
+                for a, b in zip(self.entries, other.entries)]
         return Mat._of_coords(self.tower, self.level, self.cols, rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        self._peer(other)
         ops = self.tower.coord_ops(self.level)
         zero, add, mul = ops.zero, ops.add, ops.mul
-        bt = list(zip(*_coords_of(other.entries, self.tower, self.level))) or [()] * other.cols
+        bt = list(zip(*_coords(other))) or [()] * other.cols
         out = []
         for arow in _coords(self):
             row = []
@@ -113,20 +123,7 @@ class Mat:
 
 def _coords(m: Mat) -> list[list]:
     """The coordinate rows of m, as fresh lists the eliminations may reduce."""
-    return _coords_of(m.entries, m.tower, m.level)
-
-
-def _coords_of(rows, tower: FieldTower, level: str) -> list[list]:
-    """The coordinate rows of rows of elements, which must all live at
-    ``level`` of ``tower``: unlike the element operators, the coordinate
-    arithmetic cannot check that."""
-    out = []
-    for row in rows:
-        for e in row:
-            if e.tower is not tower or e.level != level:
-                raise LevelMismatchError(f"matrix entries must all live at {level!r} of one tower")
-        out.append([e.coords for e in row])
-    return out
+    return [[e.coords for e in row] for row in m.entries]
 
 
 def _row_reduce(ops, rows, ncols):
@@ -285,9 +282,10 @@ def meet_dim(rows: Mat, pairing: Mat) -> int:
         raise AmbientMismatchError(
             f"ambient dims {rows.cols} and {pairing.cols} differ"
         )
+    rows._peer(pairing)
     tower, level, n = rows.tower, rows.level, rows.cols
     ops = tower.coord_ops(level)
-    reduced, pivots = _row_reduce(ops, _coords_of(pairing.entries, tower, level), n)
+    reduced, pivots = _row_reduce(ops, _coords(pairing), n)
     kernel = [[Elem(tower, level, c) for c in row] for row in _kernel_rows(ops, reduced, pivots, n)]
     both = [list(r) for r in rows.entries] + kernel
     return _rank(ops, _coords(rows), n) + len(kernel) - _rank(_elem_ops(tower, level), both, n)

@@ -17,7 +17,9 @@ lambda_i^j, the subgroup-power rule.
 
 The kernels compute on coordinates (``FieldTower.coord_ops`` and the
 Frobenius table), building elements only for returned values, and check
-once per call that their operands share a tower.
+once per call that their operands share a tower.  One kernel evaluates,
+one turns theta-coefficients into an F_q-matrix, and the block matrices
+of a residue chain the two with no theta-polynomial in between.
 """
 
 from __future__ import annotations
@@ -210,44 +212,52 @@ class ThetaPoly:
         return _of_coords(ThetaPoly, tower, out)
 
     def matrix(self) -> linalg.Mat:
-        """Matrix over F_q of the map in the power basis {1, u, .., u^(r-1)}:
-        column t holds the coordinates of sum_j c_j theta^j(u^t), with
-        theta^j(u^t) read from the tower's Frobenius table (theta^j(1) = 1
-        takes no product)."""
-        tower, r = self.tower, self.tower.r
-        ops = tower.coord_ops(TOP)
-        cols = [ops.zero] * r
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for t, image in enumerate(tower._frob[j]):
-                    term = c.coords if image == ops.one else ops.mul(c.coords, image)
-                    cols[t] = ops.add(cols[t], term)
-        rows = [[Elem(tower, MID, col[s]) for col in cols] for s in range(r)]
-        return linalg.Mat(tower, MID, r, r, rows)
+        """Matrix over F_q of the map in the power basis {1, u, .., u^(r-1)}."""
+        rows = _block(self.tower, [c.coords for c in self.coeffs])
+        return linalg.Mat._of_coords(self.tower, MID, self.tower.r, rows)
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
         return f"ThetaPoly([{body}])"
 
 
+def _evaluate(tower: FieldTower, coeffs, alpha) -> list:
+    """Theta-coefficients of the value at the point alpha of the polynomial
+    with coefficients ``coeffs``, all as coordinates: X^j acts as the
+    partial norm product N_j = alpha theta(alpha) .. theta^(j-1)(alpha)
+    times theta^j, folded mod r (N_0 and N_1 take no product)."""
+    ops, r = tower.coord_ops(TOP), tower.r
+    out = [ops.zero] * r
+    norm = alpha
+    for j, fj in enumerate(coeffs):
+        if j > 1:
+            norm = ops.mul(norm, tower._theta(alpha, j - 1))
+        if fj != ops.zero:
+            out[j % r] = ops.add(out[j % r], ops.mul(fj, norm) if j else fj)
+    return out
+
+
+def _block(tower: FieldTower, coeffs) -> list:
+    """Coordinate rows of the matrix over F_q, in the power basis u^t, of the
+    map with theta-coefficients ``coeffs``: column t is sum_j c_j
+    theta^j(u^t), read from the tower's Frobenius table."""
+    ops = tower.coord_ops(TOP)
+    cols = [ops.zero] * tower.r
+    for c, images in zip(coeffs, tower._frob):
+        if c != ops.zero:
+            for t, image in enumerate(images):
+                cols[t] = ops.add(cols[t], c if image == ops.one else ops.mul(c, image))
+    return list(zip(*cols))
+
+
 def evaluate_at_point(f: SkewPoly, alpha: Elem) -> ThetaPoly:
-    """Operator value of f at alpha: X^j acts as the partial norm product
-    N_j = alpha theta(alpha) .. theta^(j-1)(alpha) times theta^j, folded
-    mod r (N_0 = 1 and N_1 = alpha take no product)."""
+    """Operator value of f at alpha (see ``_evaluate``)."""
     tower = f.tower
     _check_tower(tower, alpha)
     if alpha.level != TOP:
         raise LevelMismatchError("evaluation points are top-level elements")
-    ops = tower.coord_ops(TOP)
-    out = [ops.zero] * tower.r
-    norm = alpha = alpha.coords
-    for j, fj in enumerate(f.coeffs):
-        if j > 1:
-            norm = ops.mul(norm, tower._theta(alpha, j - 1))
-        if fj:
-            term = ops.mul(fj.coords, norm) if j else fj.coords
-            out[j % tower.r] = ops.add(out[j % tower.r], term)
-    return _of_coords(ThetaPoly, tower, out)
+    coeffs = _evaluate(tower, [c.coords for c in f.coeffs], alpha.coords)
+    return _of_coords(ThetaPoly, tower, coeffs)
 
 
 @record
@@ -307,8 +317,7 @@ class QuotientCtx:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, f: SkewPoly, i: int) -> ThetaPoly:
-        """Value of f at block i (1-based): X^j acts as the partial norm
-        product alpha theta(alpha) .. theta^(j-1)(alpha) times theta^j."""
+        """Value of f at block i (1-based), at the point alpha_i."""
         if not 1 <= i <= self.ell:
             raise BlockOutOfRangeError(f"block {i} outside 1..{self.ell}")
         return evaluate_at_point(f, self.alphas[i - 1])
@@ -317,3 +326,11 @@ class QuotientCtx:
         """All ell block values of the residue of f, one ThetaPoly per block."""
         f = self.reduce(f)
         return tuple(self.evaluate(f, i) for i in range(1, self.ell + 1))
+
+    def block_matrices(self, f: SkewPoly) -> list:
+        """The F_q-matrices of the ell block values of the residue of f,
+        those of ``eval_map``, with no theta-polynomial built between."""
+        tower = self.tower
+        coeffs = [c.coords for c in self.reduce(f).coeffs]
+        blocks = (_block(tower, _evaluate(tower, coeffs, a.coords)) for a in self.alphas)
+        return [linalg.Mat._of_coords(tower, MID, tower.r, rows) for rows in blocks]

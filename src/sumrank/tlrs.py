@@ -15,8 +15,10 @@ with C-perp the kernel of the code's form values on the X-slots that the
 basis residues occupy.  The basis polynomials have degree at most k <
 ell*r, so they are their own residues and no route reduces them.  Per
 code, each route evaluates each basis residue at most once and computes
-on coordinates through the tower's trace and Frobenius table, building
-elements only for returned values.
+on coordinates through the tower's trace, trace form and Frobenius table:
+the Gram matrix, its blocks and the hull oracle's rows are built from
+coordinates, and the distance walk starts from each residue's block
+matrices, with no theta-polynomial or per-entry element round trip.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class TlrsParams:
 
 @record
 class TlrsCode:
-    """A built code: the kr basis residues and the L/K basis they ride on.
+    """A built code: its kr basis residues over the power basis
+    beta_t = u^t of L over K.
 
     Basis order: beta_t X^j for j = 1..k-1 (t fastest), then the twisted
     rows beta_t + eta theta^h(beta_t) X^k.  This makes the Gram matrix
@@ -73,7 +76,6 @@ class TlrsCode:
 
     params: TlrsParams
     basis_polys: tuple
-    k_basis_of_l: tuple
 
 
 def build_code(params: TlrsParams) -> TlrsCode:
@@ -82,15 +84,12 @@ def build_code(params: TlrsParams) -> TlrsCode:
     tower = params.ctx.tower
     mul = tower.coord_ops(TOP).mul
     betas = tuple(Elem(tower, TOP, b) for b in tower._frob[0])
-    polys = []
-    for j in range(1, params.k):
-        for beta in betas:
-            polys.append(SkewPoly.monomial(tower, beta, j))
+    polys = [SkewPoly.monomial(tower, beta, j) for j in range(1, params.k) for beta in betas]
     gap = [tower.top_zero()] * (params.k - 1)
     for beta, image in zip(betas, tower._frob[params.h]):
         twist = Elem(tower, TOP, mul(params.eta.coords, image))
         polys.append(SkewPoly(tower, [beta, *gap, twist]))
-    return TlrsCode(params, tuple(polys), betas)
+    return TlrsCode(params, tuple(polys))
 
 
 def lcd_criterion(params: TlrsParams) -> bool:
@@ -99,14 +98,10 @@ def lcd_criterion(params: TlrsParams) -> bool:
     return bool(tower.top_one() + params.eta * params.eta)
 
 
-def _power_traces(tower: FieldTower, *xs) -> list:
-    """Per coordinates x in xs, Tr(x u^e) for e = 0 .. 2r - 2: in the power
-    basis b_t = u^t, Tr(x b_s b_t) = Tr(x u^(s+t)), so the r x r matrix of
-    that form is Hankel, entry (s, t) being item s + t."""
-    ops = tower.coord_ops(TOP)
-    betas = tower._frob[0]
-    powers = betas + [ops.mul(betas[-1], b) for b in betas[1:]]  # u^(r-1) u^t = u^(r-1+t)
-    return [[tower._trace(y if x == ops.one else ops.mul(x, y)) for y in powers] for x in xs]
+def _hankel(traces, r: int) -> list:
+    """The matrix of the form (x, y) -> Tr(a x y) on the power basis u^t,
+    from traces[e] = Tr(a u^e): entry (s, t) is item s + t."""
+    return [traces[s:s + r] for s in range(r)]
 
 
 def _pairing(tower: FieldTower, f: SkewPoly, g: SkewPoly) -> tuple:
@@ -128,10 +123,6 @@ ROUTES = {
     "hull dimension": ("equal", {"hull oracle": "hull_dim"}),
     "minimum distance": ("bounded", {"walk": "min_sum_rank_distance"}),
 }
-
-# the scalars of a report's record that a sweep row repeats, after p, m, r
-_SWEEP_KEYS = ("ell", "k", "h", "eta", "det", "alpha", "lcd_by_criterion", "lcd_by_oracle",
-               "hull_dim")
 
 
 @record
@@ -197,27 +188,28 @@ class GramReport:
         return out
 
     def sweep_row(self) -> dict:
-        """The flat record of a sweep: ``to_dict``'s field as p, m and r,
-        then its scalars."""
-        record = self.to_dict()
-        return {"schema": 1, "kind": "tlrs-sweep-row",
-                **{key: record["field"][key] for key in ("p", "m", "r")},
-                **{key: record[key] for key in _SWEEP_KEYS}}
+        """The flat record of a sweep: the scalars of ``to_dict``, its field
+        as p, m and r."""
+        params, tower = self.params, self.params.ctx.tower
+        return {"schema": 1, "kind": "tlrs-sweep-row", "p": tower.p, "m": tower.m, "r": tower.r,
+                "ell": params.ctx.ell, "k": params.k, "h": params.h, "eta": str(params.eta),
+                "det": str(self.det_value), "alpha": str(self.alpha_value),
+                "lcd_by_criterion": self.lcd_by_criterion, "lcd_by_oracle": self.lcd_by_oracle,
+                "hull_dim": self.hull_dim}
 
 
 def gram_blocks(code: TlrsCode):
-    """The closed-form blocks: M[t,u] = Tr(b_t b_u) and
-    B[t,u] = Tr(alpha b_t b_u) with alpha = theta^(-h)(1 + eta^2), both
-    Hankel in the power basis b_t = u^t of the code."""
+    """The closed-form blocks: M[t,u] = Tr(b_t b_u), the tower's trace form,
+    and B[t,u] = Tr(alpha b_t b_u) with alpha = theta^(-h)(1 + eta^2), both
+    Hankel in the power basis b_t = u^t, with Tr(alpha u^e) = sum_i alpha_i Tr(u^(i+e))."""
     params = code.params
     tower = params.ctx.tower
-    ops, r = tower.coord_ops(TOP), tower.r
+    ops, mid, r = tower.coord_ops(TOP), tower.coord_ops(MID), tower.r
     eta = params.eta.coords
     alpha = tower._theta(ops.add(ops.one, ops.mul(eta, eta)), -params.h)
-    m_block, b_block = (
-        Mat(tower, MID, r, r, [[Elem(tower, MID, v) for v in traces[s:s + r]] for s in range(r)])
-        for traces in _power_traces(tower, ops.one, alpha)
-    )
+    form = tower._trace_form
+    alpha_form = [reduce(mid.add, map(mid.mul, alpha, form[e:])) for e in range(2 * r - 1)]
+    m_block, b_block = (Mat._of_coords(tower, MID, r, _hankel(t, r)) for t in (form, alpha_form))
     return m_block, b_block, Elem(tower, TOP, alpha)
 
 
@@ -242,10 +234,8 @@ def gram(
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = Elem(tower, MID, _pairing(tower, polys[i], polys[j]))
-            rows[i][j] = v
-            rows[j][i] = v
-    gram_mat = Mat(tower, MID, n, n, rows)
+            rows[i][j] = rows[j][i] = _pairing(tower, polys[i], polys[j])
+    gram_mat = Mat._of_coords(tower, MID, n, rows)
     m_block, b_block, alpha = gram_blocks(code)
     hull = hull_oracle(code) if with_oracle else None
     return GramReport(
@@ -277,8 +267,7 @@ def hull_oracle(code: TlrsCode) -> int:
     where both are counted."""
     tower = code.params.ctx.tower
     ops, mid, r = tower.coord_ops(TOP), tower.coord_ops(MID), tower.r
-    [traces] = _power_traces(tower, ops.one)
-    t0 = [traces[s:s + r] for s in range(r)]
+    t0 = _hankel(tower._trace_form, r)
 
     def slot_form(c):
         """The form values of one slot c: c times t0 (symmetric, so its rows
@@ -287,31 +276,24 @@ def hull_oracle(code: TlrsCode) -> int:
 
     polys = [[c.coords for c in f.coeffs] for f in code.basis_polys]
     slots = max(map(len, polys))
-    rows, pairings = [], []
-    for coeffs in polys:
-        coeffs += [ops.zero] * (slots - len(coeffs))
-        rows.append([Elem(tower, MID, x) for c in coeffs for x in c])
-        pairings.append([Elem(tower, MID, x) for c in coeffs for x in slot_form(c)])
-    n, cols = len(rows), slots * r
-    return linalg.meet_dim(Mat(tower, MID, n, cols, rows), Mat(tower, MID, n, cols, pairings))
+    polys = [coeffs + [ops.zero] * (slots - len(coeffs)) for coeffs in polys]
+    rows = [[x for c in coeffs for x in c] for coeffs in polys]
+    pairings = [[x for c in coeffs for x in slot_form(c)] for coeffs in polys]
+    return linalg.meet_dim(*(Mat._of_coords(tower, MID, slots * r, m) for m in (rows, pairings)))
 
 
-class _BuiltOnFirstUse:
+class _BuiltOnFirstUse(dict):
     """The sequence build(0), .., build(n - 1), each item built when first
-    read and then kept, so a later read costs a list index and a test."""
-
-    __slots__ = ("_items", "_build")
+    read and then kept, so a later read costs one dict lookup."""
 
     def __init__(self, n: int, build):
-        self._items, self._build = [None] * n, build
+        self._n, self._build = n, build
 
     def __len__(self):
-        return len(self._items)
+        return self._n
 
-    def __getitem__(self, i):
-        item = self._items[i]
-        if item is None:
-            item = self._items[i] = self._build(i)
+    def __missing__(self, i):
+        item = self[i] = self._build(i)
         return item
 
 
@@ -320,15 +302,16 @@ def min_sum_rank_distance(
 ) -> int:
     """Minimum sum-rank weight over the q^(kr) - 1 nonzero words.
 
-    Evaluation and ``ThetaPoly.matrix`` are F_q-linear, so each basis
-    residue b is evaluated once, and the ell block matrices of the F_p-basis
-    word omega^s * b (omega^s in the F_p-basis of F_q) are those of b with
-    every entry times omega^s.  ``linalg.min_weight`` walks their
-    F_p-combinations, and a word's weight is the sum of its blocks' ranks.
-    The walk stops at the first word of weight ``sum_rank_distance_floor``,
-    so the result is either that floor or the Singleton bound one above it.
-    The walk first reads word d at step p^d, so words are built on first
-    read: a walk that stops early never evaluates the later residues.
+    Evaluation and the passage to block matrices are F_q-linear, so each
+    basis residue b is evaluated once (``QuotientCtx.block_matrices``), and
+    the ell block matrices of the F_p-basis word omega^s * b (omega^s in
+    the F_p-basis of F_q) are those of b with every entry times omega^s.
+    ``linalg.min_weight`` walks their F_p-combinations, and a word's weight
+    is the sum of its blocks' ranks.  The walk stops at the first word of
+    weight ``sum_rank_distance_floor``, so the result is either that floor
+    or the Singleton bound one above it.  The walk first reads word d at
+    step p^d, so words are built on first read: a walk that stops early
+    never evaluates the later residues.
     """
     ctx = code.params.ctx
     tower = ctx.tower
@@ -338,9 +321,9 @@ def min_sum_rank_distance(
     def image(i):
         b, s = divmod(i, len(omegas))
         if not s:  # omega^0 = 1: the blocks of b itself
-            return [t.matrix() for t in ctx.eval_map(code.basis_polys[b])]
-        return [Mat(tower, MID, m.rows, m.cols,
-                    [[Elem(tower, MID, mul(omegas[s], e.coords)) for e in row] for row in m.entries])
+            return ctx.block_matrices(code.basis_polys[b])
+        return [Mat._of_coords(tower, MID, m.cols,
+                               [[mul(omegas[s], e.coords) for e in row] for row in m.entries])
                 for m in images[i - s]]
 
     images = _BuiltOnFirstUse(len(code.basis_polys) * len(omegas), image)

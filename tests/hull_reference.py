@@ -323,7 +323,8 @@ def gram_blocks(code: tlrs.TlrsCode):
     alpha = theta^(-h)(1 + eta^2), by element operators."""
     params = code.params
     tower = params.ctx.tower
-    betas = code.k_basis_of_l
+    u = tower.top([int(s == 1) for s in range(tower.r)])
+    betas = [u ** t for t in range(tower.r)]  # the power basis, from u, not the Frobenius table
     alpha = tower.frobenius(tower.top_one() + params.eta * params.eta, -params.h)
     m_rows = [[tower.trace(bt * bu) for bu in betas] for bt in betas]
     b_rows = [[tower.trace(alpha * bt * bu) for bu in betas] for bt in betas]

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from sumrank._record import replace
 from sumrank.cli import build_parser, main
 
 EXAMPLE_BUILD = [
@@ -194,13 +193,20 @@ def _hull_where_none(hull):
     return int(not hull)
 
 
+def _block_verdict_turned(v):
+    """acd verdicts with the block criterion's answer turned, built as a new
+    record from the old one's fields."""
+    return type(v)(v.matrix_ok, not v.structured_ok, v.structured_reason, v.det_t,
+                   v.det_g0, v.delta)
+
+
 @pytest.mark.parametrize("argv, planted, turn", [
     pytest.param(EXAMPLE_BUILD, "tlrs.hull_oracle", _hull_where_none, id="tlrs-build"),
     # without the oracle, the criterion still answers to det G
     pytest.param(["tlrs-sweep", "--p", "5", "--ell", "2", "--k", "1", "--h", "0",
                   "--no-oracle"], "tlrs.lcd_criterion", lambda lcd: not lcd, id="tlrs-sweep"),
     pytest.param(["acd-build", "--p", "5", "--k", "1", "--lambda", "2,3"], "acd.acd_check",
-                 lambda v: replace(v, structured_ok=not v.structured_ok), id="acd-build"),
+                 _block_verdict_turned, id="acd-build"),
     pytest.param(["acd-search", "--p", "5", "--k", "1", "--ell", "3"], "acd.acd_oracle",
                  _hull_where_none, id="acd-search"),
     pytest.param(["acd-sweep", "--p", "5", "--count", "5", "--seed", "1"], "acd.acd_oracle",
@@ -253,6 +259,26 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "12/12 checks passed" in proc.stdout
+
+
+def test_a_closed_pipe_leaks_no_traceback():
+    """A reader that closes stdout after the first line (as ``| head`` does)
+    ends the sweep with exit 1 and nothing on stderr, instead of a
+    BrokenPipeError traceback from the write or the exit-time flush."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = ["tlrs-sweep", "--p", "3", "--m", "2", "--r", "2", "--ell", "2", "--k", "1",
+            "--h", "0", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "sumrank.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert json.loads(proc.stdout.readline())["kind"] == "tlrs-sweep-row"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    # exit 0 only if the whole sweep reached the pipe before it closed
+    assert proc.wait(timeout=60) in (0, 1)
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
 
 
 def test_bad_input_names_the_input(capsys, monkeypatch):

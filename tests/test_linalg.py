@@ -291,26 +291,48 @@ def test_kernels_make_no_elem_arithmetic(f81, forbidden):
         ]
 
 
-def test_kernels_reject_entries_of_another_level(f81):
+def test_kernels_reject_entries_of_another_level(f81, forbidden):
     """The kernels compute on raw coordinates, which cannot tell levels or
-    towers apart, so they refuse an entry from another level or another
-    tower (equal or not) with LevelMismatchError before any arithmetic."""
+    towers apart, so a matrix refuses an entry from another level or
+    another tower (equal or not) with LevelMismatchError when it is built,
+    before any arithmetic: no kernel ever sees mixed entries."""
     twin = FieldTower(3, 2, 2)
     one = f81.mid(1)
+    ops = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__pow__")
     for stray in (f81.top(1), twin.mid(1)):
-        mixed = Mat.from_rows([[one, stray], [one, one]])
-        for call in (
-            linalg.det,
-            linalg.rank,
-            linalg.schur_residual,
-            lambda m: m + m,
-            lambda m: m @ m,
-            lambda m: linalg.meet_dim(m, m),
-        ):
+        with forbidden(Elem, *ops):
             with pytest.raises(LevelMismatchError):
-                call(mixed)
+                Mat.from_rows([[one, stray], [one, one]])
     with pytest.raises(LevelMismatchError):
         hull_reference.identity(f81, MID, 2) + hull_reference.identity(f81, TOP, 2)
+
+
+def test_matrices_refuse_a_stray_entry_anywhere(f81):
+    """Mat(...) and Mat.from_rows check every entry, not only the first:
+    an entry of the other level or of another tower, in any row and column,
+    is refused with LevelMismatchError.  Sums and products refuse an
+    operand from another tower or level, whatever their shapes."""
+    twin = FieldTower(3, 2, 2)
+    for level in (MID, TOP):
+        one = f81.one(level)
+        other = TOP if level == MID else MID
+        for stray in (f81.one(other), twin.one(level)):
+            for i, j in itertools.product(range(3), repeat=2):
+                rows = [[stray if (s, t) == (i, j) else one for t in range(3)] for s in range(3)]
+                with pytest.raises(LevelMismatchError):
+                    Mat(f81, level, 3, 3, rows)
+                with pytest.raises(LevelMismatchError):
+                    Mat.from_rows(rows)
+                with pytest.raises(LevelMismatchError):
+                    Mat.from_rows(rows, tower=f81, level=level, cols=3)
+        square = hull_reference.identity(f81, level, 2)
+        for foreign in (hull_reference.identity(f81, other, 2),
+                        hull_reference.identity(twin, level, 2)):
+            for call in (lambda a, b: a + b, lambda a, b: a @ b):
+                with pytest.raises(LevelMismatchError):
+                    call(square, foreign)
+                with pytest.raises(LevelMismatchError):
+                    call(foreign, square)
 
 
 def test_span_rejects_rows_of_another_width(f81):

@@ -8,7 +8,6 @@ import pytest
 
 import sumrank
 from sumrank import acd, tlrs
-from sumrank._record import replace
 from sumrank._routes import RELATIONS
 from sumrank.errors import BadParamsError
 from sumrank.fields import FieldTower
@@ -101,7 +100,7 @@ def test_records_are_immutable(params25):
 def test_records_compare_and_hash_fieldwise(f25, params25):
     same = tlrs.TlrsParams(ctx=params25.ctx, k=1, h=0, eta=f25.parse_top("2+1u"))
     assert same == params25 and hash(same) == hash(params25)
-    assert replace(params25, eta=f25.parse_top("1+1u")) != params25
+    assert tlrs.TlrsParams(params25.ctx, 1, 0, f25.parse_top("1+1u")) != params25
     assert params25 != (params25.ctx, 1, 0, params25.eta)
     assert repr(same) == repr(params25)
     assert repr(same).startswith("TlrsParams(ctx=QuotientCtx(tower=FieldTower(")
@@ -110,7 +109,8 @@ def test_records_compare_and_hash_fieldwise(f25, params25):
 def test_record_defaults_and_arguments(params25):
     report = tlrs.gram(tlrs.build_code(params25))
     assert (report.lcd_by_oracle, report.hull_dim) == (None, None)
-    checked = replace(report, lcd_by_oracle=True, hull_dim=0)
+    fields = {name: getattr(report, name) for name in report._fields}
+    checked = tlrs.GramReport(**{**fields, "lcd_by_oracle": True, "hull_dim": 0})
     assert (checked.lcd_by_oracle, checked.hull_dim) == (True, 0)
     assert checked.gram is report.gram
     with pytest.raises(TypeError, match="missing the field 'eta'"):
@@ -120,16 +120,19 @@ def test_record_defaults_and_arguments(params25):
     with pytest.raises(TypeError):
         tlrs.TlrsParams(params25.ctx, 1, k=1, eta=params25.eta)
     with pytest.raises(TypeError):
-        replace(params25, kk=2)
+        tlrs.TlrsParams(params25.ctx, 1, 0, params25.eta, kk=2)
 
 
 def test_record_validation_runs_on_construction_and_replace(params25):
+    """A copy of a record with one field replaced is built as a new
+    instance from the old one's fields, so it is validated like any."""
+    fields = {name: getattr(params25, name) for name in params25._fields}
     with pytest.raises(BadParamsError, match="k = 9"):
         tlrs.TlrsParams(params25.ctx, 9, 0, params25.eta)
     with pytest.raises(BadParamsError, match="k = 9"):
-        replace(params25, k=9)
+        tlrs.TlrsParams(**{**fields, "k": 9})
     with pytest.raises(BadParamsError, match="h = 2"):
-        replace(params25, h=2)
+        tlrs.TlrsParams(**{**fields, "h": 2})
 
 
 

@@ -448,6 +448,33 @@ def test_compose_matrix_is_the_matrix_product(shape, ell, data):
     assert a.compose(b).matrix() == a.matrix() @ b.matrix()
 
 
+# (p, m, r) and ell of every class of the tlrs-certify benchmark (the
+# towers of tests/test_tlrs.py's CERTIFY_CLASSES, every ell | q - 1 up to
+# the class's largest) and of the property tests
+BLOCK_SHAPES = sorted({*PROPERTY_SHAPES, *(
+    (shape, ell)
+    for shape, max_ell in (((5, 1, 2), 4), ((3, 2, 2), 4), ((13, 1, 2), 4), ((5, 1, 3), 4),
+                           ((7, 1, 3), 3))
+    for ell in range(1, max_ell + 1)
+    if (shape[0] ** shape[1] - 1) % ell == 0
+)})
+
+
+@pytest.mark.parametrize("shape,ell", BLOCK_SHAPES)
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_block_matrices_match_the_reference(shape, ell, data):
+    """The block matrices of a residue, from the coordinate evaluation and
+    matrix kernels, are the reference's: the element-operator reduction,
+    evaluation at each point and matrix of each value.  Polynomials reach
+    past the modulus degree, so reduction takes part."""
+    ctx = _linearity_ctx(shape, ell)
+    f = _draw_poly(data, ctx.tower, ctx.modulus_degree + ctx.tower.r)
+    expected = [skew_reference.matrix(t) for t in skew_reference.eval_map(ctx, f)]
+    assert ctx.block_matrices(f) == expected
+    assert [t.matrix() for t in ctx.eval_map(f)] == expected
+
+
 # ---------------------------------------------------------------- coordinate kernels
 
 
@@ -479,6 +506,7 @@ def test_skew_kernels_make_no_elem_arithmetic(forbidden):
             skew_reference.matrix(a),
             skew_reference.compose(a, b),
             h_lambda,
+            [skew_reference.matrix(t) for t in skew_reference.eval_map(ctx, f)],
         ]
         with forbidden(Elem, *ops):
             with pytest.raises(AssertionError):
@@ -492,6 +520,7 @@ def test_skew_kernels_make_no_elem_arithmetic(forbidden):
                 a.matrix(),
                 a.compose(b),
                 build_h_lambda(tower, ctx.lambdas),
+                ctx.block_matrices(f),
             ]
         assert got == expected, shape
 
@@ -513,6 +542,7 @@ def test_kernels_refuse_operands_of_another_tower(f25, f169):
         lambda: ctx25.reduce(g),
         lambda: ctx25.reduce(ctx169.h_lambda * g),
         lambda: ctx25.eval_map(g),
+        lambda: ctx25.block_matrices(g),
         lambda: ctx169.evaluate(f, 1),
         lambda: evaluate_at_point(f, f169.top([1, 1])),
         lambda: evaluate_at_point(f, f25.mid(2)),

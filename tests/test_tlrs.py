@@ -386,7 +386,7 @@ def test_distance_guard(example_code):
 
 
 def test_distance_guard_trips_before_any_evaluation(example_code, forbidden):
-    with forbidden(QuotientCtx, "eval_map", "evaluate"):
+    with forbidden(QuotientCtx, "eval_map", "evaluate", "block_matrices"):
         with pytest.raises(TooLargeError, match=r"^enumerating 25 codewords exceeds the guard 10$"):
             tlrs.min_sum_rank_distance(example_code, max_enumeration=10)
 
@@ -394,16 +394,16 @@ def test_distance_guard_trips_before_any_evaluation(example_code, forbidden):
 def test_walk_that_stops_at_its_first_word_evaluates_one_residue(monkeypatch):
     """At (5,1,2), ell = 4, k = 1 every code's first word already weighs
     the floor N - k = 7, so the walk stops there: of the kr = 2 basis
-    residues only the first is evaluated."""
+    residues only the first is evaluated (its block matrices built)."""
     tower = FieldTower(5, 1, 2)
     ctx = QuotientCtx.build(tower, 4)
-    real, calls = QuotientCtx.eval_map, []
+    real, calls = QuotientCtx.block_matrices, []
 
     def counting(self, f):
         calls.append(f)
         return real(self, f)
 
-    monkeypatch.setattr(QuotientCtx, "eval_map", counting)
+    monkeypatch.setattr(QuotientCtx, "block_matrices", counting)
     for h in range(tower.r):
         for eta in tower.top_units():
             code = tlrs.build_code(tlrs.TlrsParams(ctx, 1, h, eta))
