@@ -27,8 +27,9 @@ from .fields import FieldTower, split_items
 
 ENV_MAX_ENUM = "SUMRANK_MAX_ENUM"
 ENV_MAX_HULL = "SUMRANK_MAX_HULL"
-# tlrs-sweep builds and certifies one code per (k, h, eta); the bound still
-# admits the full q = 13, r = 2, ell = 12 sweep (7,728 reports)
+# a sweep builds and certifies one code per row (tlrs-sweep: per k, h and
+# eta; acd-sweep: --count); the bound still admits the full q = 13, r = 2,
+# ell = 12 tlrs-sweep (7,728 reports)
 MAX_SWEEP_REPORTS = 10_000
 
 
@@ -191,6 +192,8 @@ def cmd_acd_sweep(args) -> int:
     from . import acd
 
     count = _non_negative(args.count, "--count")
+    if count > MAX_SWEEP_REPORTS:
+        raise TooLargeError(f"--count {count} is above the bound {MAX_SWEEP_REPORTS}")
     tower = _tower(args, r=2)
     rng = random.Random(args.seed)
     units = list(tower.mid_units())

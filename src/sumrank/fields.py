@@ -16,12 +16,14 @@ subgroups of F_q*.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
 
 from .errors import (
     BadTowerError,
     LevelMismatchError,
     NotADivisorError,
+    TooLargeError,
     ZeroInputError,
 )
 
@@ -31,6 +33,10 @@ TOP = "top"
 # A level of at most this many elements multiplies through exp/log tables
 # once it has made as many products as the tables have entries.
 _TABLE_MAX = 4096
+
+# A tower whose construction is estimated (``_tower_work``) to take more
+# steps than this, a few seconds' worth, is refused before it starts.
+_WORK_MAX = 10**6
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -222,19 +228,26 @@ def _binomial_is_irreducible(ops, a, d) -> bool:
     return d % 4 != 0 or (ops.size - 1) % 4 == 0
 
 
+def _has_binomial(size: int, d: int) -> bool:
+    """Whether some x^d - a is irreducible over a field of ``size`` elements:
+    iff every prime factor of d divides size - 1, and 4 does when it
+    divides d (then a generator of the units qualifies, Thm 3.75)."""
+    return all((size - 1) % t == 0 for t in _prime_factors(d)) and (d % 4 or (size - 1) % 4 == 0)
+
+
 def _default_modulus(ops, elements, degree):
     """The least irreducible monic polynomial of the given degree over the
-    field whose elements are listed in canonical order: binomials x^d - a
-    with the smallest a first, decided in closed form, then the
+    field whose elements ``elements()`` lists in canonical order: binomials
+    x^d - a with the smallest a first, decided in closed form, then the
     lexicographically smallest, skipping those x divides (degree 1 never
-    gets there: x - 1 is irreducible)."""
+    gets there: x - 1 is irreducible).  Only that scan lists the field."""
     zero, one = ops.zero, ops.one
-    for a in elements:
-        if a != zero and _binomial_is_irreducible(ops, a, degree):
-            return tuple([ops.neg(a)] + [zero] * (degree - 1) + [one])
-    for tail in itertools.product(elements, repeat=degree):
-        if tail[0] == zero:
-            continue
+    if _has_binomial(ops.size, degree):
+        for a in elements():
+            if a != zero and _binomial_is_irreducible(ops, a, degree):
+                return tuple([ops.neg(a)] + [zero] * (degree - 1) + [one])
+    pool = list(elements())
+    for tail in itertools.product(pool[1:], *[pool] * (degree - 1)):
         cand = list(tail) + [one]
         if _poly_is_irreducible(ops, cand):
             return tuple(cand)
@@ -279,6 +292,35 @@ def _list_items(text: str, most: int, what: str) -> list:
     if len(items) > most:
         raise ValueError(f"cannot parse field element {text!r}: {what} = {most}")
     return items
+
+
+def _tower_work(p: int, m: int, r: int, search_base: bool, search_top: bool) -> float:
+    """The steps constructing FieldTower(p, m, r) takes, estimated before
+    any of them, with degrees above 64 counted as 64 (already past the
+    guard).  A product at the top counts m^2 F_p-products.
+
+    * Trial division of p.
+    * Two searches, for a generator of F_q* and a binomial modulus, of up to
+      p candidates each when m > 1 (the line F_p y^(m-1) comes first), at
+      one unit order per candidate: trial division of q - 1 and log2(q)
+      products.
+    * Per extension of degree d > 1 over s elements, d^4 log2(s) products
+      (its Rabin test and, at the top, the Frobenius table), and, when its
+      default modulus is no binomial, a scan of up to s + d Rabin tests of
+      2 d^3 log2(s) products each: it may pass a whole line of candidates.
+    """
+    work = math.isqrt(max(p, 0))
+    if p < 2 or m < 1 or r < 1:
+        return work  # the constructor refuses these after the primality test
+    m, r = min(m, 64), min(r, 64)
+    q = p**m
+    work += 2 * (p if m > 1 else 1) * (math.isqrt(q - 1) + m * m * math.log2(q))
+    for d, s, cost, search in ((m, p, 1, search_base), (r, q, m * m, search_top)):
+        if d > 1:
+            work += cost * d**4 * math.log2(s)
+            if search and not _has_binomial(s, d):
+                work += (s + d) * cost * 2 * d**3 * math.log2(s)
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +435,12 @@ class FieldTower:
         top_modulus=None,
         generator_of_units=None,
     ):
+        work = _tower_work(p, m, r, base_modulus is None, top_modulus is None)
+        if work > _WORK_MAX:
+            raise TooLargeError(
+                f"constructing the tower (p = {p}, m = {m}, r = {r}) takes an"
+                f" estimated {work:.2g} steps, above the guard {_WORK_MAX:.0e}"
+            )
         if _prime_factors(p) != [p]:
             raise BadTowerError(f"p = {p} is not prime")
         if m < 1 or r < 1:
@@ -418,7 +466,7 @@ class FieldTower:
             if m == 1:
                 base_modulus = (0, 1)  # x itself; F_p[x]/(x) = F_p
             else:
-                base_modulus = _default_modulus(self._base_ops, range(p), m)
+                base_modulus = _default_modulus(self._base_ops, lambda: range(p), m)
         base_modulus = tuple(int(c) % p for c in base_modulus)
         if len(base_modulus) != m + 1 or base_modulus[-1] != 1:
             raise BadTowerError("base_modulus must be monic of degree m")
@@ -442,7 +490,7 @@ class FieldTower:
         )
 
         if top_modulus is None:
-            mids = list(itertools.product(range(p), repeat=m))
+            mids = lambda: itertools.product(range(p), repeat=m)
             top_modulus = _default_modulus(self._mid_ops, mids, r)
         top_modulus = tuple(self._as_mid_coords(c) for c in top_modulus)
         if len(top_modulus) != r + 1 or top_modulus[-1] != mid_one:

@@ -4,12 +4,13 @@ Everything is Gaussian elimination with first-nonzero pivoting (fields have
 no magnitudes, so any nonzero pivot is as good as another and this choice
 keeps results deterministic).  Matrices are immutable; all functions are
 pure.  Empty matrices follow the conventions det([]) = 1 and rank([]) = 0
-so that degenerate block sizes fall out of the general formulas.  Entries
-are :class:`Elem`s, checked once, when a matrix is built, to live at its
-tower and level (a sum or product checks its other operand), so every
-elimination except ``meet_dim``'s stacked rank reads their coordinates
-directly and computes with :meth:`FieldTower.coord_ops`, building
-elements only for returned values.
+so that degenerate block sizes fall out of the general formulas.  A
+matrix holds the coordinates of its entries, checked once, when it is
+built from :class:`Elem`s, to live at its tower and level (a sum or
+product checks its other operand), and builds those elements only when
+they are first read.  So the sum, the product and every elimination
+except ``meet_dim``'s stacked rank compute on coordinates with
+:meth:`FieldTower.coord_ops`, building elements only for returned values.
 """
 
 from __future__ import annotations
@@ -28,19 +29,22 @@ from .fields import Elem, FieldTower
 
 
 class Mat:
-    """Immutable row-major matrix of :class:`Elem` values at one level."""
+    """Immutable row-major matrix at one level: ``coords`` holds the
+    coordinate rows of its entries, and ``entries`` their :class:`Elem`s,
+    built on first read and then kept."""
 
-    __slots__ = ("tower", "level", "rows", "cols", "entries")
+    __slots__ = ("tower", "level", "rows", "cols", "coords", "_entries")
 
     def __init__(self, tower: FieldTower, level: str, rows: int, cols: int, entries):
-        self.tower = tower
-        self.level = level
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
+        self.tower, self.level, self.rows, self.cols = tower, level, rows, cols
+        self._entries = grid = tuple(map(tuple, entries))
+        if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ValueError("entry grid does not match declared shape")
-        if any(e.tower is not tower or e.level != level for row in self.entries for e in row):
+        # a stray entry drops out of its row, so the coordinates fall short
+        self.coords = coords = tuple([tuple([e.coords for e in row
+                                             if e.tower is tower and e.level == level])
+                                      for row in grid])
+        if sum(map(len, coords)) != rows * cols:
             raise LevelMismatchError(f"matrix entries must all live at {level!r} of one tower")
 
     @classmethod
@@ -58,11 +62,19 @@ class Mat:
 
     @classmethod
     def _of_coords(cls, tower: FieldTower, level: str, cols: int, rows) -> "Mat":
-        """The matrix whose entries have the given coordinate rows, unchecked."""
+        """The matrix with the given coordinate rows, unchecked."""
         out = cls.__new__(cls)
         out.tower, out.level, out.rows, out.cols = tower, level, len(rows), cols
-        out.entries = tuple([tuple([Elem(tower, level, c) for c in row]) for row in rows])
+        out.coords = tuple(map(tuple, rows))
+        out._entries = None
         return out
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            t, lv = self.tower, self.level
+            self._entries = tuple(tuple([Elem(t, lv, c) for c in row]) for row in self.coords)
+        return self._entries
 
     def _peer(self, other: "Mat") -> None:
         if other.tower is not self.tower or other.level != self.level:
@@ -77,8 +89,7 @@ class Mat:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} + {other.rows}x{other.cols}")
         self._peer(other)
         add = self.tower.coord_ops(self.level).add
-        rows = [[add(x.coords, y.coords) for x, y in zip(a, b)]
-                for a, b in zip(self.entries, other.entries)]
+        rows = [map(add, a, b) for a, b in zip(self.coords, other.coords)]
         return Mat._of_coords(self.tower, self.level, self.cols, rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -87,9 +98,9 @@ class Mat:
         self._peer(other)
         ops = self.tower.coord_ops(self.level)
         zero, add, mul = ops.zero, ops.add, ops.mul
-        bt = list(zip(*_coords(other))) or [()] * other.cols
+        bt = list(zip(*other.coords)) or [()] * other.cols
         out = []
-        for arow in _coords(self):
+        for arow in self.coords:
             row = []
             for bcol in bt:
                 acc = zero
@@ -101,18 +112,16 @@ class Mat:
         return Mat._of_coords(self.tower, self.level, other.cols, out)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        zero = self.tower.coord_ops(self.level).zero
+        return all(c == zero for row in self.coords for c in row)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and other.rows == self.rows
-            and other.cols == self.cols
-            and other.entries == self.entries
-        )
+        return isinstance(other, Mat) and other.tower is self.tower and (
+            other.level, other.rows, other.cols, other.coords
+        ) == (self.level, self.rows, self.cols, self.coords)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.coords)
 
     def to_lists(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self.entries]
@@ -123,7 +132,7 @@ class Mat:
 
 def _coords(m: Mat) -> list[list]:
     """The coordinate rows of m, as fresh lists the eliminations may reduce."""
-    return [[e.coords for e in row] for row in m.entries]
+    return [list(row) for row in m.coords]
 
 
 def _row_reduce(ops, rows, ncols):
@@ -232,9 +241,7 @@ def min_weight(words, p: int, weight, max_enumeration: int, floor: int = 1) -> i
         raise BadParamsError("min_weight of an empty basis: it spans no nonzero word")
     size = p ** len(words)
     if size > max_enumeration:
-        raise TooLargeError(
-            f"enumerating {size} codewords exceeds the guard {max_enumeration}"
-        )
+        raise TooLargeError(f"enumerating {size} codewords exceeds the guard {max_enumeration}")
     word = words[0]
     best = weight(word)
     for step in range(2, size):
@@ -273,28 +280,22 @@ def meet_dim(rows: Mat, pairing: Mat) -> int:
     rank(rows) + dim K - rank [rows; K].
 
     The stacked rank, unlike every other elimination here, runs on the
-    element operators.  It is half of every acd-search job; on coordinates
-    that benchmark runs about 1.5 times as many jobs, and perfbench's
-    peak_rss_mb, which grows with every job record a run keeps, passes its
-    bound.  Rank ``both`` with ``ops`` on coordinates once perfbench stops
-    keeping them."""
+    element operators, over ``rows.entries`` (built on this read when rows
+    came from coordinates) and the kernel rows as elements.  It is half of
+    every acd-search job; on coordinates that benchmark runs about 1.5
+    times as many jobs, and perfbench's peak_rss_mb, which grows with every
+    job record a run keeps, passes its bound.  Rank ``both`` with ``ops`` on
+    coordinates once perfbench stops keeping them."""
     if rows.cols != pairing.cols:
-        raise AmbientMismatchError(
-            f"ambient dims {rows.cols} and {pairing.cols} differ"
-        )
+        raise AmbientMismatchError(f"ambient dims {rows.cols} and {pairing.cols} differ")
     rows._peer(pairing)
     tower, level, n = rows.tower, rows.level, rows.cols
     ops = tower.coord_ops(level)
     reduced, pivots = _row_reduce(ops, _coords(pairing), n)
     kernel = [[Elem(tower, level, c) for c in row] for row in _kernel_rows(ops, reduced, pivots, n)]
     both = [list(r) for r in rows.entries] + kernel
-    return _rank(ops, _coords(rows), n) + len(kernel) - _rank(_elem_ops(tower, level), both, n)
-
-
-def _elem_ops(tower: FieldTower, level: str) -> SimpleNamespace:
-    """The element operators :func:`_echelon` uses, in the shape of
-    :meth:`FieldTower.coord_ops`."""
-    return SimpleNamespace(zero=tower.zero(level), mul=Elem.__mul__, sub=Elem.__sub__)
+    elem_ops = SimpleNamespace(zero=tower.zero(level), mul=Elem.__mul__, sub=Elem.__sub__)
+    return _rank(ops, _coords(rows), n) + len(kernel) - _rank(elem_ops, both, n)
 
 
 def _solve(ops, aug, n: int) -> list:

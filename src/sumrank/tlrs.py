@@ -53,9 +53,7 @@ class TlrsParams:
         if tower.q % 2 == 0:
             raise BadParamsError("twisted-code machinery assumes odd q")
         if not 1 <= self.k <= self.ctx.modulus_degree - 1:
-            raise BadParamsError(
-                f"k = {self.k} outside 1..{self.ctx.modulus_degree - 1}"
-            )
+            raise BadParamsError(f"k = {self.k} outside 1..{self.ctx.modulus_degree - 1}")
         if not 0 <= self.h <= tower.r - 1:
             raise BadParamsError(f"h = {self.h} outside 0..{tower.r - 1}")
         if self.eta.tower is not tower:
@@ -283,8 +281,9 @@ def hull_oracle(code: TlrsCode) -> int:
 
 
 class _BuiltOnFirstUse(dict):
-    """The sequence build(0), .., build(n - 1), each item built when first
-    read and then kept, so a later read costs one dict lookup."""
+    """The sequence of build(self, i), i = 0 .. n - 1, each item built when
+    first read and then kept; a build reads earlier items through its
+    argument, as a reference of its own would make a cycle."""
 
     def __init__(self, n: int, build):
         self._n, self._build = n, build
@@ -293,7 +292,7 @@ class _BuiltOnFirstUse(dict):
         return self._n
 
     def __missing__(self, i):
-        item = self[i] = self._build(i)
+        item = self[i] = self._build(self, i)
         return item
 
 
@@ -318,12 +317,12 @@ def min_sum_rank_distance(
     mul = tower.coord_ops(MID).mul
     omegas = [w.coords for w in tower.mid_basis()]
 
-    def image(i):
+    def image(images, i):
         b, s = divmod(i, len(omegas))
         if not s:  # omega^0 = 1: the blocks of b itself
             return ctx.block_matrices(code.basis_polys[b])
         return [Mat._of_coords(tower, MID, m.cols,
-                               [[mul(omegas[s], e.coords) for e in row] for row in m.entries])
+                               [[mul(omegas[s], c) for c in row] for row in m.coords])
                 for m in images[i - s]]
 
     images = _BuiltOnFirstUse(len(code.basis_polys) * len(omegas), image)

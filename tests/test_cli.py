@@ -1,16 +1,21 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumrank.cli import build_parser, main
 
@@ -279,6 +284,116 @@ def test_a_closed_pipe_leaks_no_traceback():
     # exit 0 only if the whole sweep reached the pipe before it closed
     assert proc.wait(timeout=60) in (0, 1)
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["tlrs-build", "--p", "100000000000000000039", "--ell", "2", "--k", "1", "--eta", "1"],
+    ["acd-build", "--p", "3", "--m", "40", "--k", "1", "--lambda", "1,2"],
+    ["tlrs-build", "--p", "3", "--r", "40", "--ell", "2", "--k", "1", "--eta", "1"],
+    ["tlrs-build", "--p", "3", "--m", "30", "--ell", "2", "--k", "1", "--eta", "1"],
+])
+def test_tower_construction_is_guarded(argv):
+    """A tower whose construction would trial-divide a huge p or q - 1, or
+    scan for a modulus of high degree, is refused before any of that work:
+    exit 3 within 2 s, with the estimate named and no traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", *argv], capture_output=True,
+                          text=True, timeout=2, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 3, proc.stderr
+    assert "estimated" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+def _mostly(tame, wild):
+    """Four draws in five from ``tame``, the fifth from ``wild``."""
+    return st.integers(0, 4).flatmap(lambda i: wild if i == 0 else tame)
+
+
+# The values the grammar test draws: mostly small valid fields and
+# parameters, but also composite, zero, negative and huge ones, element
+# texts with brackets, signs and powers, valid or not, and small guards.
+_HUGE = st.sampled_from([-10**30, 10**20, 2**61 - 1, 10**20 + 39])
+
+
+def _ints(*tame):
+    return _mostly(st.sampled_from(tame), st.one_of(st.integers(-3, 0), _HUGE))
+
+
+_GUARDS = _mostly(st.sampled_from([0, 10, 100, 1000]), st.sampled_from([-1, -10**30]))
+_FIELD = {
+    "--p": _mostly(st.sampled_from([3, 5, 13]),
+                   st.one_of(st.sampled_from([2, 1, 4, 9, 0, -5]), _HUGE)),
+    "--m": _mostly(st.sampled_from([1, 1, 2]), st.sampled_from([0, -1, 40, 10**20])),
+    "--r": _mostly(st.sampled_from([1, 2, 2, 3]), st.sampled_from([0, -2, 40, 10**20])),
+}
+_TEXT = st.text("0123456789+-^uy[], x", max_size=10)
+_ELEMENT = _mostly(st.sampled_from(["1", "2+1u", "3+2u", "1u^2", "[1,2]", "[[1],[2]]", "3y+1u",
+                                    "[[1,1],[0,2]]", "2"]), _TEXT)
+_POINTS = _mostly(st.sampled_from(["2,3", "1,2", "1,2,3", "[1,1],[2,0]", "2", "3,3"]), _TEXT)
+_SUBCOMMANDS = {
+    "tlrs-build": {**_FIELD, "--ell": _ints(1, 2, 4, 6), "--k": _ints(1, 2, 3),
+                   "--h": _ints(0, 1), "--eta": _ELEMENT, "--no-oracle": None,
+                   "--with-distance": None, "--max-enum": _GUARDS},
+    # an r = 3 sweep at q = 13 certifies 2,196 codes, over a second
+    "tlrs-sweep": {**_FIELD, "--r": _mostly(st.sampled_from([1, 2]), _FIELD["--r"]),
+                   "--ell": _ints(1, 2, 4, 6), "--k": _ints(1, 2, 3),
+                   "--h": _ints(0, 1), "--no-oracle": None},
+    "acd-build": {"--p": _FIELD["--p"], "--m": _FIELD["--m"], "--k": _ints(1, 2),
+                  "--lambda": _POINTS, "--gamma": _ELEMENT, "--no-oracle": None,
+                  "--with-distance": None, "--max-enum": _GUARDS, "--max-hull": _GUARDS},
+    "acd-search": {"--p": _FIELD["--p"], "--m": _FIELD["--m"], "--k": _ints(1, 2),
+                   "--ell": _ints(2, 3, 4, 5),
+                   "--strategy": st.sampled_from(["auto", "geometric", "exhaustive", "x"]),
+                   "--with-distance": None, "--max-enum": _GUARDS, "--max-hull": _GUARDS},
+    "acd-sweep": {"--p": _FIELD["--p"], "--m": _FIELD["--m"], "--count": _ints(0, 1, 2, 3),
+                  "--seed": _ints(0, 1, 7), "--max-ell": _ints(2, 4, 6), "--max-hull": _GUARDS},
+    "verify-paper-examples": {},
+}
+# flags every command line carries: most required ones, the sizes of a
+# sweep and the guards, which would otherwise take their full defaults
+_ALWAYS = {"--p", "--k", "--eta", "--lambda", "--count", "--h", "--max-enum", "--max-hull"}
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand and some of its flags, each with a drawn value, and
+    ``--format`` where the subcommand has it."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [name]
+    for flag, values in _SUBCOMMANDS[name].items():
+        if flag in _ALWAYS or draw(st.integers(0, 9)) < (9 if flag == "--ell" else 4):
+            argv += [flag] if values is None else [flag, str(draw(values))]
+    if name != "verify-paper-examples" and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv", "xml"]))]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["tlrs-build", "--p", "100000000000000000039", "--ell", "2", "--k", "1",
+               "--eta", "1"])
+@example(argv=["acd-search", "--p", "2305843009213693951", "--k", "1", "--ell", "2"])
+@example(argv=["acd-sweep", "--p", "5", "--count", "100000000000000000000"])
+def test_cli_grammar_exits_with_a_documented_code(argv):
+    """Any command line, valid or not, ends in exit 0, 1, 2 or 3 within 2 s,
+    with no exception escaping main: huge fields and degrees are refused
+    by the tower guard, and bad values and texts as invalid configuration."""
+    def timeout(*_):
+        raise TimeoutError(f"{argv} ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_bad_input_names_the_input(capsys, monkeypatch):

@@ -249,6 +249,56 @@ def test_coordinate_kernels_match_elem_reference(kernel_towers, shape, level, da
             linalg.schur_residual(a)
 
 
+@pytest.fixture(scope="module")
+def coordinate_towers(f81):
+    """(3, 2, 2) as the products left it, and a twin with F_9 and F_81 on
+    their exp/log tables."""
+    twin = FieldTower(3, 2, 2)
+    for level in (MID, TOP):
+        ops = twin.coord_ops(level)
+        for _ in range(ops.size - 1):
+            ops.mul(ops.one, ops.one)
+    return {"products": f81, "tables": twin}
+
+
+@pytest.mark.parametrize("level", [MID, TOP])
+@pytest.mark.parametrize("arithmetic", ["products", "tables"])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_matrices_of_coordinates_match_matrices_of_elements(
+        coordinate_towers, arithmetic, level, data):
+    """A matrix built from coordinates (Mat._of_coords, which builds no
+    element until its entries are read) equals, and hashes as, the matrix
+    built from the same elements, reads back the same entries and text, and
+    agrees on +, @, det, rank and meet_dim with the reference on elements,
+    at both levels of (3, 2, 2), with and without tables.  The same
+    coordinates at the other level or in another tower compare unequal."""
+    tower = coordinate_towers[arithmetic]
+    twin = coordinate_towers["tables" if arithmetic == "products" else "products"]
+    n = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 5))
+    a = _draw_mat(data, tower, level, n, n, combine=True)
+    rect = _draw_mat(data, tower, level, n, cols, combine=True)
+    pairing = _draw_mat(data, tower, level, data.draw(st.integers(0, 3)), cols, combine=True)
+    _, kernel = hull_reference.rank_kernel(pairing)
+    rows = _draw_mat(data, tower, level, n, cols, kernel.basis.entries, combine=True)
+
+    def of_coords(m, tower=tower, level=level):
+        return Mat._of_coords(tower, level, m.cols, [list(row) for row in m.coords])
+
+    ca, crect, cpairing, crows = map(of_coords, (a, rect, pairing, rows))
+    for m, c in ((a, ca), (rect, crect), (pairing, cpairing), (rows, crows)):
+        assert c == m and hash(c) == hash(m)
+        assert c.entries == m.entries and c.to_lists() == m.to_lists()
+        assert c != of_coords(m, level=TOP if level == MID else MID)
+        assert c != of_coords(m, tower=twin)
+    assert ca + ca == hull_reference.add(a, a)
+    assert ca @ crect == hull_reference.matmul(a, rect)
+    assert linalg.det(ca) == hull_reference.det(a)
+    assert linalg.rank(crect) == hull_reference.rank_kernel(rect)[0]
+    assert linalg.meet_dim(crows, cpairing) == hull_reference.meet_dim(rows, pairing)
+
+
 def test_kernels_make_no_elem_arithmetic(f81, forbidden):
     """With every arithmetic operator of Elem made to raise, the kernels
     still run at both levels of q = 9, and return what the Elem reference

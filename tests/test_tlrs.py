@@ -1,5 +1,6 @@
 """Twisted-code construction, Gram machinery, and double-routed LCD checks."""
 
+import gc
 import itertools
 import random
 
@@ -429,6 +430,25 @@ def _per_word_min_sum_rank_distance(code):
         if best is None or w < best:
             best = w
     return best
+
+
+def test_distance_walk_leaves_no_reference_cycle():
+    """Reference counting alone frees what a distance walk builds: after a
+    warm-up call, which builds the tower's exp/log tables, a second call
+    with the cyclic collector off leaves it nothing to collect."""
+    tower = FieldTower(3, 1, 3)
+    code = tlrs.build_code(tlrs.TlrsParams(QuotientCtx.build(tower, 2), 2, 1,
+                                           tower.top([1, 1, 0])))
+    tlrs.min_sum_rank_distance(code)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tlrs.min_sum_rank_distance(code)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_min_sum_rank_distance_matches_per_word_reference():
